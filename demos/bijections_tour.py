@@ -27,7 +27,7 @@ print(f"permutation      {p}")
 print(f"ascending runs   {ascending_runs(p)}")
 h = perm_to_history(p)
 print(f"history          {h}")
-print(f"round trip       {history_to_perm(h, bound=9)}")
+print(f"round trip       {history_to_perm(h)}")
 print()
 print("The step at index i is the role of the VALUE i: head -> U, tail -> D,")
 print("one-letter run -> H, interior letter -> T (second horizontal color).")

@@ -6,6 +6,9 @@ Maps provided:
 * ``perm_to_history`` sends any permutation to a Laguerre history by
   reading the role (head / tail / head-tail / boarder) of each value in
   the ascending-run decomposition and attaching crossing labels.
+* ``history_to_perm`` inverts it by construction at every size: values
+  enter in increasing order, and each label names the open run that a
+  value joins or that a new run follows (Francon-Viennot).
 * ``foata`` erases the parentheses of the standard cycle form of an
   involution; its image is the class avoiding the vincular patterns 1_32
   and 1_23.
@@ -23,10 +26,9 @@ into the consecutive pattern realized by the corresponding involution.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
-from .errors import BoundExceededError, InvariantError
+from .errors import InvariantError
 from .paths import (
     DESCENT_FACTORS,
     LabeledMotzkinPath,
@@ -55,8 +57,6 @@ from .permutations import (
     validate_standard_cycles,
 )
 
-SEARCH_INVERSE_BOUND = 8
-
 _ROLE_STEP = {"head": "U", "tail": "D", "head-tail": "H", "boarder": "T"}
 
 #: Patterns whose avoidance characterizes the image of ``foata``.
@@ -84,33 +84,33 @@ def perm_to_history(p: Permutation) -> LaguerreHistory:
     return LaguerreHistory(BicoloredMotzkinWord(steps), labels)
 
 
-@functools.lru_cache(maxsize=None)
-def _history_table(n: int) -> dict[LaguerreHistory, Permutation]:
-    table: dict[LaguerreHistory, Permutation] = {}
-    for p in enumerate_permutations(n):
-        table[perm_to_history(p)] = p
-    return table
+def history_to_perm(h: LaguerreHistory) -> Permutation:
+    """Constructive inverse of ``perm_to_history``.
 
+    Values enter in increasing order while the ascending runs and the open
+    runs (head placed, tail not yet) are both kept in word order.  A U or H
+    step labeled l starts a new run right after the l-th open run (at the
+    front when l = 0); a U run also joins the open runs at index l.  A T or
+    D step labeled l appends its value to open run l (0-based), and D closes
+    that run.  The label bounds of ``LaguerreHistory`` keep every index in
+    range, so every history has a preimage.
 
-def history_to_perm(h: LaguerreHistory, bound: int = SEARCH_INVERSE_BOUND) -> Permutation:
-    """Preimage of a history under ``perm_to_history``.
-
-    No constructive inverse is implemented on the full history set; this
-    inverts by exhaustive search and refuses sizes past the bound.  Small
-    sizes are memoized in a full table (bulk round-trip checks hit them
-    repeatedly); larger one-off requests scan without caching.
+    >>> str(history_to_perm(LaguerreHistory.parse("UUTUDTDHD | l=0,0,1,2,1,0,1,0,0")))
+    '8 2 6 9 1 3 5 4 7'
     """
-    if h.n > bound:
-        raise BoundExceededError(h.n, bound, "history inversion")
-    if h.n <= SEARCH_INVERSE_BOUND:
-        try:
-            return _history_table(h.n)[h]
-        except KeyError:
-            raise InvariantError(f"history {h} has no permutation preimage") from None
-    for p in enumerate_permutations(h.n, bound):
-        if perm_to_history(p) == h:
-            return p
-    raise InvariantError(f"history {h} has no permutation preimage")
+    runs: list[list[int]] = []
+    opened: list[list[int]] = []
+    for value, (step, label) in enumerate(zip(h.word, h.labels), start=1):
+        if step in "UH":
+            run = [value]
+            runs.insert(runs.index(opened[label - 1]) + 1 if label else 0, run)
+            if step == "U":
+                opened.insert(label, run)
+        else:
+            opened[label].append(value)
+            if step == "D":
+                del opened[label]
+    return Permutation(v for run in runs for v in run)
 
 
 def foata(cycles: CycleForm) -> Permutation:
@@ -303,7 +303,6 @@ def check_diagram(
     history_map=perm_to_history,
     path_map=involution_to_path,
     foata_map=foata_of,
-    bound: int = SEARCH_INVERSE_BOUND,
 ) -> DiagramReport:
     """Verify, exhaustively at size n, that the triangle of maps commutes
     and that the image characterizations hold:
@@ -318,8 +317,6 @@ def check_diagram(
     The map arguments exist so a deliberately broken map can be fed in to
     confirm the checker reports it.
     """
-    if n > bound:
-        raise BoundExceededError(n, bound, "diagram check")
     failures: list[str] = []
     checked = 0
 

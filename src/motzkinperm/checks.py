@@ -107,7 +107,7 @@ def check_diagram_suite(nmax: int = 8) -> list[str]:
     """Commuting triangle and image characterizations, all sizes to nmax."""
     failures: list[str] = []
     for n in range(nmax + 1):
-        report = check_diagram(n, bound=nmax)
+        report = check_diagram(n)
         failures.extend(f"n={n}: {f}" for f in report.failures)
     return failures
 

@@ -31,8 +31,6 @@ from .genfun import ClassSpec, ClusterSpec, cluster_count_gf, distribution_oracl
 from .paths import LabeledMotzkinPath, LaguerreHistory, MotzkinWord
 from .permutations import Permutation, format_cycles, parse_cycles
 
-DEFAULT_BOUND = int(os.environ.get("MOTZKINPERM_BOUND", "12"))
-
 GF_FUNCTIONS = {
     "inv_des_fix": genfun.inv_des_fix_gf,
     "weak_valley": genfun.weak_valley_gf,
@@ -51,34 +49,34 @@ GF_FUNCTIONS = {
 }
 
 
-def _map_gamma(text: str, bound: int):
+def _map_gamma(text: str):
     return perm_to_history(Permutation.parse(text))
 
 
-def _map_gamma_inv(text: str, bound: int):
-    return history_to_perm(LaguerreHistory.parse(text), bound=bound)
+def _map_gamma_inv(text: str):
+    return history_to_perm(LaguerreHistory.parse(text))
 
 
-def _map_psi(text: str, bound: int):
+def _map_psi(text: str):
     return involution_to_path(Permutation.parse(text))
 
 
-def _map_psi_inv(text: str, bound: int):
+def _map_psi_inv(text: str):
     return path_to_involution(LabeledMotzkinPath.parse(text))
 
 
-def _map_foata(text: str, bound: int):
+def _map_foata(text: str):
     text = text.strip()
     if text.startswith("("):
         return foata(parse_cycles(text))
     return foata_of(Permutation.parse(text))
 
 
-def _map_foata_inv(text: str, bound: int) -> str:
+def _map_foata_inv(text: str) -> str:
     return format_cycles(foata_inverse(Permutation.parse(text)))
 
 
-def _map_gamma_inv_restricted(text: str, bound: int):
+def _map_gamma_inv_restricted(text: str):
     return motzkin_to_perm(MotzkinWord(text.strip()))
 
 
@@ -94,7 +92,7 @@ MAPS = {
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
-    image = MAPS[args.via](args.object, args.bound)
+    image = MAPS[args.via](args.object)
     if args.format == "json":
         payload = {"via": args.via, "input": args.object.strip(), "image": str(image)}
         if hasattr(image, "to_json_dict"):
@@ -199,8 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--via", required=True, choices=sorted(MAPS))
     p_map.add_argument("object", help="permutation, cycle form, path, or history")
     p_map.add_argument("--format", choices=("text", "json"), default="text")
-    p_map.add_argument("--bound", type=int, default=max(DEFAULT_BOUND, 9),
-                       help="search ceiling for the non-constructive inverse")
     p_map.set_defaults(func=_cmd_map)
 
     p_verify = sub.add_parser("verify", help="run an exhaustive verification suite")
@@ -217,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--class", dest="class_spec", required=True)
     p_table.add_argument("--stats", required=True, help="comma-separated statistic names")
     p_table.add_argument("--n", type=int, required=True)
-    p_table.add_argument("--bound", type=int, default=DEFAULT_BOUND)
+    p_table.add_argument("--bound", type=int, default=os.environ.get("MOTZKINPERM_BOUND", "12"))
     p_table.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_table.set_defaults(func=_cmd_table)
 

@@ -535,6 +535,8 @@ def statistic_function(name: str, base: str) -> Callable:
     if base == "M":
         if name.startswith("subword:"):
             factor = name.split(":", 1)[1]
+            if not factor:
+                raise ValueError(f"statistic {name!r} has an empty factor")
             return lambda w: subword_count(w, factor)
         if name in PATH_STATISTIC_NAMES:
             return lambda w: named_statistic(w, name)

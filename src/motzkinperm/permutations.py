@@ -201,9 +201,6 @@ class RunAnatomy:
     runs: tuple[tuple[int, ...], ...]
     roles: tuple[str, ...]
 
-    def role_of_value(self, p: Permutation, v: int) -> str:
-        return self.roles[p.index(v)]
-
 
 def ascending_runs(p: Permutation) -> tuple[tuple[int, ...], ...]:
     """Maximal increasing factors of the one-line word.

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from motzkinperm.bijections import (
@@ -58,9 +60,17 @@ def test_history_of_identity():
 
 
 def test_history_roundtrip():
-    for n in range(7):
+    for n in range(9):
         for p in enumerate_permutations(n):
             assert history_to_perm(perm_to_history(p)) == p
+
+
+@pytest.mark.parametrize("n", [50, 100, 200, 300])
+def test_history_roundtrip_large(n):
+    rng = random.Random(n)
+    for _ in range(5):
+        p = Permutation(rng.sample(range(1, n + 1), n))
+        assert history_to_perm(perm_to_history(p)) == p
 
 
 def test_foata_examples():

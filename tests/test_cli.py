@@ -23,6 +23,20 @@ def test_map_gamma_inverse(capsys):
     assert out.strip() == "8 2 6 9 1 3 5 4 7"
 
 
+def test_map_gamma_inverse_size_12(capsys):
+    code, out, _ = run(
+        capsys, "map", "--via", "gamma-inv", "UDUDUDUDUDUD | l=0,0,0,0,0,0,0,0,0,0,0,0"
+    )
+    assert code == 0
+    assert out.strip() == "11 12 9 10 7 8 5 6 3 4 1 2"
+
+
+def test_map_has_no_bound_option():
+    with pytest.raises(SystemExit) as exc:
+        main(["map", "--via", "gamma-inv", "--bound", "9", "HD | l=0,0"])
+    assert exc.value.code == 2
+
+
 def test_map_psi(capsys):
     code, out, _ = run(capsys, "map", "--via", "psi", "6 5 3 8 2 1 7 4")
     assert code == 0
@@ -133,6 +147,28 @@ def test_table_bound_refusal(capsys):
     code, _, err = run(capsys, "table", "--class", "I(3412)", "--stats", "inv", "--n", "13")
     assert code == 3
     assert "refused" in err
+
+
+def test_table_bound_from_environment(capsys, monkeypatch):
+    monkeypatch.setenv("MOTZKINPERM_BOUND", "3")
+    code, _, err = run(capsys, "table", "--class", "M", "--stats", "peaks", "--n", "4")
+    assert code == 3
+    assert "refused" in err
+
+
+def test_table_bad_bound_environment_is_usage(capsys, monkeypatch):
+    monkeypatch.setenv("MOTZKINPERM_BOUND", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--class", "M", "--stats", "peaks", "--n", "3"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+
+
+def test_table_empty_subword_factor_is_usage(capsys):
+    code, out, err = run(capsys, "table", "--class", "M", "--stats", "subword:", "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert "empty factor" in err
 
 
 def test_table_deterministic(capsys):
