@@ -24,7 +24,7 @@ from .bijections import (
     perm_to_history,
     transport_statistics,
 )
-from .errors import InvariantError
+from .errors import BoundExceededError, InvariantError
 from .genfun import (
     CLUSTER_123,
     CLUSTER_132,
@@ -62,6 +62,7 @@ from .paths import (
 )
 from .patterns import PatternSpec, enumerate_class
 from .permutations import (
+    ENUMERATION_BOUND,
     Permutation,
     coinv_count,
     des_count,
@@ -74,22 +75,28 @@ from .permutations import (
 from .series import SeriesRing, TruncatedSeries, fixed_point_solve, solve_quadratic
 
 
+def _refuse_past_bound(nmax: int, suite: str) -> None:
+    """Refuse a suite whose nmax exceeds the enumeration budget before
+    it enumerates anything, rather than after walking every smaller n."""
+    if nmax > ENUMERATION_BOUND:
+        raise BoundExceededError(nmax, ENUMERATION_BOUND, f"verify {suite}")
+
+
 def check_bijection_suite(nmax: int = 8) -> list[str]:
     """The three maps are bijections onto their stated codomains, checked
     by image-set equality at every size up to nmax."""
+    _refuse_past_bound(nmax, "bijection")
     failures: list[str] = []
     for n in range(nmax + 1):
-        histories = {perm_to_history(p) for p in enumerate_permutations(n, bound=nmax)}
+        histories = {perm_to_history(p) for p in enumerate_permutations(n)}
         if len(histories) != math.factorial(n):
             failures.append(f"history map not injective on S_{n}")
-        if histories != set(enumerate_histories(n, bound=nmax)):
+        if histories != set(enumerate_histories(n)):
             failures.append(f"history map image differs from all histories at n={n}")
 
-        involutions = list(enumerate_involutions(n, bound=nmax))
+        involutions = list(enumerate_involutions(n))
         foata_image = {foata_of(p) for p in involutions}
-        class_set = set(
-            enumerate_class(n, (VINCULAR_132, VINCULAR_123), base="all", bound=nmax)
-        )
+        class_set = set(enumerate_class(n, (VINCULAR_132, VINCULAR_123), base="all"))
         if len(foata_image) != len(involutions):
             failures.append(f"foata not injective on I_{n}")
         if foata_image != class_set:
@@ -98,13 +105,14 @@ def check_bijection_suite(nmax: int = 8) -> list[str]:
         paths = {involution_to_path(p) for p in involutions}
         if len(paths) != len(involutions):
             failures.append(f"path map not injective on I_{n}")
-        if paths != set(enumerate_labeled(n, bound=nmax)):
+        if paths != set(enumerate_labeled(n)):
             failures.append(f"path map image differs from labeled paths at n={n}")
     return failures
 
 
 def check_diagram_suite(nmax: int = 8) -> list[str]:
     """Commuting triangle and image characterizations, all sizes to nmax."""
+    _refuse_past_bound(nmax, "diagram")
     failures: list[str] = []
     for n in range(nmax + 1):
         report = check_diagram(n)
@@ -118,19 +126,18 @@ def check_stat_transport(nmax: int = 10) -> list[str]:
     correspondences, via transport_statistics.  As a corollary, the
     ascent distribution over the class must equal the weak-valley
     distribution over Motzkin words."""
+    _refuse_past_bound(nmax, "stat-transport")
     failures: list[str] = []
     spec_3412 = PatternSpec.parse("3412")
     for n in range(nmax + 1):
         ascents: list[int] = []
-        for p in enumerate_class(n, (spec_3412,), base="involutions", bound=nmax):
+        for p in enumerate_class(n, (spec_3412,), base="involutions"):
             try:
                 transport_statistics(p)
             except InvariantError as exc:
                 failures.append(str(exc))
             ascents.append(sum(1 for i in range(len(p) - 1) if p[i] < p[i + 1]))
-        valleys = sorted(
-            named_statistic(w, "weak_valleys") for w in enumerate_motzkin(n, bound=nmax)
-        )
+        valleys = sorted(named_statistic(w, "weak_valleys") for w in enumerate_motzkin(n))
         if sorted(ascents) != valleys:
             failures.append(f"ascent / weak-valley distributions differ at n={n}")
     return failures
@@ -140,10 +147,11 @@ def check_s132_transport(nmax: int = 10) -> list[str]:
     """For every member of the class avoiding 132 and consecutive 123:
     coinv equals the area of its path and des equals its number of
     tunnels minus one; the tunnel reconstruction inverts the map."""
+    _refuse_past_bound(nmax, "s132-transport")
     failures: list[str] = []
     class_patterns = (PatternSpec.parse("132"), PatternSpec.parse("_123"))
     for n in range(nmax + 1):
-        for p in enumerate_class(n, class_patterns, base="all", bound=nmax):
+        for p in enumerate_class(n, class_patterns, base="all"):
             history = perm_to_history(p)
             if "T" in history.word or any(history.labels):
                 failures.append(f"history of {p} is not a plain zero-labeled word")
@@ -158,7 +166,7 @@ def check_s132_transport(nmax: int = 10) -> list[str]:
     return failures
 
 
-def _class_tables(nmax: int, bound: int):
+def _class_tables(nmax: int):
     """Enumerate both classes once and tabulate every statistic the
     generating functions predict."""
     inv_tables = {n: {} for n in range(nmax + 1)}
@@ -168,7 +176,7 @@ def _class_tables(nmax: int, bound: int):
     from .patterns import consecutive_occurrences
 
     for n in range(nmax + 1):
-        for p in enumerate_class(n, (spec_3412,), base="involutions", bound=bound):
+        for p in enumerate_class(n, (spec_3412,), base="involutions"):
             key = (inv_count(p), des_count(p), fix_count(p))
             inv_tables[n][key] = inv_tables[n].get(key, 0) + 1
             f = fix_count(p)
@@ -183,7 +191,7 @@ def _class_tables(nmax: int, bound: int):
     }
     class_patterns = (PatternSpec.parse("132"), PatternSpec.parse("_123"))
     for n in range(nmax + 1):
-        for p in enumerate_class(n, class_patterns, base="all", bound=bound):
+        for p in enumerate_class(n, class_patterns, base="all"):
             key = (coinv_count(p), des_count(p))
             coinv_tables[n][key] = coinv_tables[n].get(key, 0) + 1
             for name in perm_pattern_tables:
@@ -198,10 +206,9 @@ def check_genfun_tables(nmax: int = 10, order: int = 12) -> list[str]:
     all n <= nmax; the two routes for the inversion series agree to the
     full order; the two routes for the 312 series agree; the six pattern
     series satisfy the window-sum identity."""
+    _refuse_past_bound(nmax, "genfun")
     failures: list[str] = []
-    inv_tables, pattern_tables, coinv_tables, perm_pattern_tables = _class_tables(
-        nmax, bound=max(nmax, 8)
-    )
+    inv_tables, pattern_tables, coinv_tables, perm_pattern_tables = _class_tables(nmax)
 
     def compare(series: TruncatedSeries, tables, label: str) -> None:
         for n in range(min(nmax, series.ring.order) + 1):
@@ -238,7 +245,7 @@ def check_genfun_tables(nmax: int = 10, order: int = 12) -> list[str]:
     wv = weak_valley_gf(order)
     for n in range(nmax + 1):
         census: dict[tuple[int, ...], int] = {}
-        for w in enumerate_motzkin(n, bound=max(nmax, 8)):
+        for w in enumerate_motzkin(n):
             k = (named_statistic(w, "weak_valleys"),)
             census[k] = census.get(k, 0) + 1
         if wv.coefficient(n) != census:
@@ -259,6 +266,7 @@ def check_cluster_family(
 ) -> list[str]:
     """The cluster series for one factor set reproduces the brute-force
     census of Motzkin words by occurrence count and H count."""
+    _refuse_past_bound(nmax, "cluster")
     failures: list[str] = []
     try:
         spec = ClusterSpec(tuple(words))
@@ -267,7 +275,7 @@ def check_cluster_family(
         return [f"cluster engine rejected {tuple(words)}: {exc}"]
     for n in range(min(order, nmax) + 1):
         census: dict[tuple[int, int], int] = {}
-        for w in enumerate_motzkin(n, bound=max(nmax, 8)):
+        for w in enumerate_motzkin(n):
             key = (sum(subword_count(w, v) for v in spec.words), w.count("H"))
             census[key] = census.get(key, 0) + 1
         if series.coefficient(n) != census:
@@ -306,6 +314,7 @@ def check_cluster_engine(
     """Closed-form cluster series for the two worked factor families, exact
     equality with the corresponding pattern series, and census agreement
     for randomized valid families."""
+    _refuse_past_bound(nmax, "cluster")
     failures: list[str] = []
     ring = SeriesRing(order, ("t", "z"))
     x, t, z = ring.x(), ring.var("t"), ring.var("z")
@@ -349,24 +358,25 @@ def check_counting(nmax: int = 10) -> list[str]:
     restricted involutions and the 132/consecutive-123 class are counted
     by Motzkin numbers, the vincular class by involution numbers, and
     bicolored words by Catalan numbers."""
+    _refuse_past_bound(nmax, "counting")
     failures: list[str] = []
     spec_3412 = PatternSpec.parse("3412")
     vincular = (VINCULAR_132, VINCULAR_123)
     class_patterns = (PatternSpec.parse("132"), PatternSpec.parse("_123"))
     for n in range(nmax + 1):
         m = motzkin_number(n)
-        if sum(1 for _ in enumerate_class(n, (spec_3412,), base="involutions", bound=nmax)) != m:
+        if sum(1 for _ in enumerate_class(n, (spec_3412,), base="involutions")) != m:
             failures.append(f"|I_{n}(3412)| != Motzkin({n})")
-        if sum(1 for _ in enumerate_motzkin(n, bound=nmax)) != m:
+        if sum(1 for _ in enumerate_motzkin(n)) != m:
             failures.append(f"|M_{n}| != Motzkin({n})")
-        if sum(1 for _ in enumerate_class(n, class_patterns, base="all", bound=nmax)) != m:
+        if sum(1 for _ in enumerate_class(n, class_patterns, base="all")) != m:
             failures.append(f"|S_{n}(132, consecutive 123)| != Motzkin({n})")
         if (
-            sum(1 for _ in enumerate_class(n, vincular, base="all", bound=nmax))
+            sum(1 for _ in enumerate_class(n, vincular, base="all"))
             != involution_number(n)
         ):
             failures.append(f"|S_{n}(1_32, 1_23)| != involution number")
-        if sum(1 for _ in enumerate_bicolored(n, bound=nmax)) != catalan_number(n):
+        if sum(1 for _ in enumerate_bicolored(n)) != catalan_number(n):
             failures.append(f"|CM_{n}| != Catalan({n})")
     return failures
 

@@ -29,7 +29,7 @@ from .bijections import (
 from .errors import BoundExceededError, InvariantError
 from .genfun import ClassSpec, ClusterSpec, cluster_count_gf, distribution_oracle
 from .paths import LabeledMotzkinPath, LaguerreHistory, MotzkinWord
-from .permutations import Permutation, format_cycles, parse_cycles
+from .permutations import SERIES_ORDER_BOUND, Permutation, format_cycles, parse_cycles
 
 GF_FUNCTIONS = {
     "inv_des_fix": genfun.inv_des_fix_gf,
@@ -103,11 +103,17 @@ def _cmd_map(args: argparse.Namespace) -> int:
     return 0
 
 
+def _refuse_large_order(order: int | None) -> None:
+    if order is not None and order > SERIES_ORDER_BOUND:
+        raise BoundExceededError(order, SERIES_ORDER_BOUND, "series")
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _refuse_large_order(args.order)
     if args.suite == "cluster" and args.factors:
         words = tuple(w.strip() for w in args.factors.split(",") if w.strip())
         failures = checks.check_cluster_family(
-            words, order=args.order or 12, nmax=min(args.nmax or 10, 10)
+            words, order=args.order or 12, nmax=args.nmax or 10
         )
         label = f"cluster {','.join(words)}"
     else:
@@ -159,6 +165,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_gf(args: argparse.Namespace) -> int:
+    _refuse_large_order(args.order)
     if args.name == "cluster":
         if not args.factors:
             raise ValueError("gf --name cluster requires --S with the factor words")

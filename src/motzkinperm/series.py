@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from operator import add
+from typing import Callable, Collection, Mapping
 
 from .errors import InvariantError
 
@@ -23,9 +24,35 @@ Coefficient = int | Fraction
 
 
 def _norm(c: Coefficient) -> Coefficient:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
     return c
+
+
+def _clear_denominators(
+    terms: Mapping[tuple[int, ...], Coefficient],
+) -> tuple[int, Mapping[tuple[int, ...], int]]:
+    """A common denominator d of the coefficients, and the terms times d,
+    which are all ints; multiplying ints avoids a gcd per product."""
+    d = 1
+    for v in terms.values():
+        if type(v) is Fraction:
+            d = math.lcm(d, v.denominator)
+    if d == 1:
+        return 1, terms
+    return d, {
+        k: v.numerator * (d // v.denominator) if type(v) is Fraction else v * d
+        for k, v in terms.items()
+    }
+
+
+def _subtract_products(acc: dict, left: Collection, right: Collection) -> None:
+    """acc -= (sum of the left terms) * (sum of the right terms), over
+    (exponent key, coefficient) pairs; keys add componentwise."""
+    for k1, c1 in left:
+        for k2, c2 in right:
+            key = tuple(map(add, k1, k2))
+            acc[key] = acc.get(key, 0) - c1 * c2
 
 
 @dataclass(frozen=True)
@@ -155,7 +182,8 @@ class TruncatedSeries:
         if other is None:
             return NotImplemented
         order = self.ring.order
-        a, b = self.terms, other.terms
+        da, a = _clear_denominators(self.terms)
+        db, b = _clear_denominators(other.terms)
         if len(a) > len(b):
             a, b = b, a
         by_deg = sorted(b.items(), key=lambda kv: kv[0][0])
@@ -171,6 +199,8 @@ class TruncatedSeries:
                     out.pop(key, None)
                 else:
                     out[key] = s
+        if da * db != 1:
+            out = {k: Fraction(v, da * db) for k, v in out.items()}
         return TruncatedSeries(self.ring, out)
 
     __rmul__ = __mul__
@@ -198,33 +228,80 @@ class TruncatedSeries:
 
     # -- inversion, square root ---------------------------------------------
 
+    def _has_auxiliary_constant(self) -> bool:
+        return any(k[0] == 0 and any(k[1:]) for k in self.terms)
+
+    def _integer_rescaling(
+        self, c0: Coefficient, factor: int
+    ) -> tuple[int, list[list[tuple[tuple[int, ...], int]]]]:
+        """Rescale v = self/c0 (constant term 1) to integer coefficients.
+
+        With d a common denominator of v, returns s = factor * d and the
+        terms of v(s*x) of positive x-degree, grouped by x-degree: the x^n
+        coefficient of v times s^n, which is (d v_n) factor^n d^(n-1), an
+        int.  Keys are kept whole.
+        """
+        v = self.terms if c0 == 1 else {k: _norm(Fraction(c) / c0) for k, c in self.terms.items()}
+        d, cleared = _clear_denominators(v)
+        multipliers = [0] + [factor**n * d ** (n - 1) for n in range(1, self.ring.order + 1)]
+        groups: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in multipliers]
+        for k, c in cleared.items():
+            if k[0]:
+                groups[k[0]].append((k, c * multipliers[k[0]]))
+        return factor * d, groups
+
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires the x^0 coefficient to be a
-        nonzero rational constant free of auxiliary variables."""
+        nonzero rational constant free of auxiliary variables.
+
+        Solved degree by degree with the reciprocal recurrence
+        g_0 = 1, g_n = -sum_{k=1..n} a_k g_{n-k} for a = self/c_0, where
+        a_k is the auxiliary-variable polynomial at x^k.  The recurrence
+        runs on the integer series a(s*x) of ``_integer_rescaling`` and
+        divides by c_0 s^n at the end; with integer coefficients and
+        c_0 = +-1 that divisor is c_0 itself and every result is an int.
+        """
         c0 = self.constant_term()
-        if c0 == 0 or any(k[0] == 0 and any(k[1:]) for k in self.terms):
+        if c0 == 0 or self._has_auxiliary_constant():
             raise ValueError("invert needs a nonzero constant term free of auxiliaries")
-        inv_c0 = Fraction(1) / Fraction(c0)
-        h = self.ring.one() - self * inv_c0  # x-valuation >= 1
-        g = self.ring.one()
-        for _ in range(self.ring.order):
-            g = self.ring.one() + h * g
-        return g * inv_c0
+        scale, a = self._integer_rescaling(c0, 1)
+        g: list[dict[tuple[int, ...], int]] = [{(0,) * self.ring.width: 1}]
+        for n in range(1, self.ring.order + 1):
+            acc: dict[tuple[int, ...], int] = {}
+            for k in range(1, n + 1):
+                _subtract_products(acc, a[k], g[n - k].items())
+            g.append({key: c for key, c in acc.items() if c})
+        if scale == 1 and c0 in (1, -1):
+            terms = {k: c * c0 for gn in g for k, c in gn.items()}
+        else:
+            terms = {k: Fraction(c, c0 * scale ** k[0]) for gn in g for k, c in gn.items()}
+        return TruncatedSeries(self.ring, terms)
 
     def sqrt(self) -> "TruncatedSeries":
-        """Square root with constant term +1; requires constant term 1."""
-        if self.constant_term() != 1 or any(k[0] == 0 and any(k[1:]) for k in self.terms):
+        """Square root with constant term +1; requires constant term 1.
+
+        Solved degree by degree from y^2 = u: y_0 = 1 and
+        y_n = (u_n - sum_{k=1..n-1} y_k y_{n-k}) / 2.  The recurrence runs
+        on U = u(s*x) with s = 4 * (a common denominator of u): U = 1 + 4w
+        with w integral, so sqrt(U) = sum_m binomial(1/2, m) 4^m w^m is
+        integral and every halving is exact.  The residual root^2 - u is
+        verified to vanish.
+        """
+        if self.constant_term() != 1 or self._has_auxiliary_constant():
             raise ValueError("sqrt needs constant term exactly 1")
-        y = self.ring.one()
-        half = Fraction(1, 2)
-        for _ in range(max(1, math.ceil(math.log2(self.ring.order + 1)) + 1)):
-            y_next = (y + self * y.invert()) * half
-            if y_next == y:
-                break
-            y = y_next
-        if y * y != self:
-            raise InvariantError("sqrt iteration failed to converge")
-        return y
+        scale, u = self._integer_rescaling(1, 4)
+        y: list[dict[tuple[int, ...], int]] = [{(0,) * self.ring.width: 1}]
+        for n in range(1, self.ring.order + 1):
+            acc: dict[tuple[int, ...], int] = dict(u[n])
+            for k in range(1, n):
+                _subtract_products(acc, y[k].items(), y[n - k].items())
+            y.append({key: c // 2 for key, c in acc.items() if c})
+        root = TruncatedSeries(
+            self.ring, {k: Fraction(c, scale ** k[0]) for yn in y for k, c in yn.items()}
+        )
+        if root * root != self:
+            raise InvariantError("sqrt residual does not vanish")
+        return root
 
     # -- substitution --------------------------------------------------------
 
@@ -466,12 +543,10 @@ def solve_quadratic(
     candidates = []
     for signed in (s, -s):
         denom = -b - signed
-        if denom.constant_term() != 0 and not any(
-            k[0] == 0 and any(k[1:]) for k in denom.terms
-        ):
+        if denom.constant_term() != 0 and not denom._has_auxiliary_constant():
             candidates.append((c * 2) * denom.invert())
     a0 = a.constant_term()
-    if a0 != 0 and not any(k[0] == 0 and any(k[1:]) for k in a.terms):
+    if a0 != 0 and not a._has_auxiliary_constant():
         inv2a = (a * 2).invert()
         for signed in (s, -s):
             candidates.append((-b + signed) * inv2a)
@@ -490,18 +565,17 @@ def fixed_point_solve(
     seed: TruncatedSeries | None = None,
 ) -> TruncatedSeries:
     """Unique fixed point of an x-adically contracting self-map, reached by
-    iteration from the seed (default 1).
+    iteration from the seed (default 1) at growing precision.
 
     The map must be a contraction: images of series agreeing to x-degree d
-    agree to degree d+1.  Stabilization is verified; a non-contracting map
-    raises InvariantError.
+    agree to degree d+1.  So iteration k keeps only the terms of x-degree
+    <= k, which are final, and order+1 iterations reach the fixed point.
+    Stabilization is verified by one full-order check that the result is
+    fixed; a non-contracting map raises InvariantError.
     """
     f = ring.one() if seed is None else seed
-    for _ in range(ring.order + 1):
-        nxt = mapping(f)
-        if nxt == f:
-            return f
-        f = nxt
+    for degree in range(ring.order + 1):
+        f = TruncatedSeries(ring, {k: v for k, v in mapping(f).terms.items() if k[0] <= degree})
     if mapping(f) != f:
         raise InvariantError("fixed-point iteration did not stabilize; map is not a contraction")
     return f

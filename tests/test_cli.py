@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
 from motzkinperm.cli import main
+from motzkinperm.permutations import ENUMERATION_BOUND, SERIES_ORDER_BOUND
 
 
 def run(capsys, *argv):
@@ -90,6 +92,28 @@ def test_verify_pass(capsys):
     code, out, _ = run(capsys, "verify", "diagram", "--nmax", "4")
     assert code == 0
     assert "PASS" in out
+
+
+@pytest.mark.parametrize(
+    "suite",
+    [["bijection"], ["diagram"], ["cluster", "--S", "HU,DU"]],
+    ids=["bijection", "diagram", "cluster-S"],
+)
+def test_verify_refuses_nmax_past_bound_at_once(capsys, suite):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", *suite, "--nmax", str(ENUMERATION_BOUND + 1))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "refused" in err
+
+
+def test_verify_refuses_series_order_past_bound(capsys):
+    code, _, err = run(
+        capsys, "verify", "genfun", "--nmax", "4", "--N", str(SERIES_ORDER_BOUND + 1)
+    )
+    assert code == 3
+    assert "refused" in err
 
 
 def test_verify_cluster_with_factors(capsys):
@@ -193,6 +217,24 @@ def test_gf_cluster(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["3"] == "t*z^3 + 3*z"
+
+
+@pytest.mark.parametrize("name", ["inv_des_fix", "cluster"])
+def test_gf_refuses_order_past_bound(capsys, name):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "gf", "--name", name, "--S", "HU,DU", "--N", str(SERIES_ORDER_BOUND + 1)
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "refused" in err
+
+
+def test_gf_accepts_order_at_bound(capsys):
+    code, out, _ = run(capsys, "gf", "--name", "f231_perm", "--N", str(SERIES_ORDER_BOUND))
+    assert code == 0
+    assert str(SERIES_ORDER_BOUND) in json.loads(out)
 
 
 def test_gf_requires_factors_for_cluster(capsys):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from motzkinperm.series import (
 )
 
 RING = SeriesRing(8, ("t", "z"))
+RING3 = SeriesRing(20, ("a", "b", "c"))
 
 
 @st.composite
@@ -26,6 +28,24 @@ def small_series(draw, min_val=0):
             draw(st.integers(min_value=min_val, max_value=RING.order)),
             t=draw(st.integers(min_value=0, max_value=2)),
             z=draw(st.integers(min_value=0, max_value=2)),
+        )
+    return s
+
+
+@st.composite
+def unit_series_3(draw):
+    """1 plus one or two monomials of positive x-degree in RING3.  Capped
+    at two: three degree-1 monomials in distinct variables give roots and
+    inverses of 1771 terms, which measures products of that size rather
+    than the recurrences."""
+    s = RING3.one()
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        s = s + RING3.monomial(
+            draw(st.integers(min_value=-3, max_value=3)),
+            draw(st.integers(min_value=1, max_value=RING3.order)),
+            a=draw(st.integers(min_value=0, max_value=2)),
+            b=draw(st.integers(min_value=0, max_value=2)),
+            c=draw(st.integers(min_value=0, max_value=2)),
         )
     return s
 
@@ -104,6 +124,63 @@ def test_sqrt_requires_unit_constant():
 def test_sqrt_squares_back(tail):
     u = RING.one() + tail
     assert u.sqrt() ** 2 == u
+
+
+@settings(max_examples=40)
+@given(unit_series_3())
+def test_invert_roundtrip_three_variables(u):
+    assert u * u.invert() == RING3.one()
+
+
+@settings(max_examples=40)
+@given(unit_series_3())
+def test_sqrt_roundtrip_three_variables(u):
+    root = u.sqrt()
+    assert root.constant_term() == 1
+    assert root * root == u
+
+
+def test_invert_keeps_int_coefficients():
+    ring = SeriesRing(20, ())
+    x = ring.x()
+    fib = (ring.one() - x - x * x).invert()
+    assert all(type(c) is int for c in fib.terms.values())
+    values = [fib.coefficient(n, at={}) for n in range(21)]
+    assert values[:8] == [1, 1, 2, 3, 5, 8, 13, 21]
+    assert all(values[n] == values[n - 1] + values[n - 2] for n in range(2, 21))
+    assert all(type(c) is int for c in (-ring.one() + x * ring.x()).invert().terms.values())
+
+
+def test_sqrt_keeps_int_coefficients():
+    ring = SeriesRing(20, ())
+    root = (ring.one() - 4 * ring.x()).sqrt()
+    assert all(type(c) is int for c in root.terms.values())
+    # -2 times the Catalan numbers, shifted by one
+    catalan = [math.comb(2 * n, n) // (n + 1) for n in range(20)]
+    assert [root.coefficient(n, at={}) for n in range(1, 21)] == [-2 * c for c in catalan]
+
+
+@pytest.mark.parametrize("c0", [2, Fraction(1, 3), Fraction(-5, 2)])
+def test_invert_non_unit_constant(c0):
+    ring = SeriesRing(12, ("t",))
+    x, t = ring.x(), ring.var("t")
+    geometric = (ring.const(c0) - x).invert()
+    assert [geometric.coefficient(n, at={"t": 1}) for n in range(13)] == [
+        1 / Fraction(c0) ** (n + 1) for n in range(13)
+    ]
+    u = ring.const(c0) + x * t * 3 - x * x + Fraction(2, 7) * x**5 * t * t
+    assert u * u.invert() == ring.one()
+
+
+def test_sqrt_fraction_tail():
+    ring = SeriesRing(12, ("t",))
+    x, t = ring.x(), ring.var("t")
+    exact = ring.one() + Fraction(1, 3) * x * t - Fraction(5, 6) * x**3
+    assert (exact * exact).sqrt() == exact
+    u = ring.one() + Fraction(1, 2) * x + Fraction(2, 3) * x * x * t - Fraction(7, 5) * x**4
+    root = u.sqrt()
+    assert root * root == u
+    assert root.coefficient(1) == {(0,): Fraction(1, 4)}
 
 
 def test_substitute_examples():
