@@ -42,7 +42,7 @@ from .paths import (
     subword_count,
     tunnels,
 )
-from .patterns import PatternSpec, avoids, consecutive_occurrences
+from .patterns import PatternSpec, avoids, occurrences
 from .permutations import (
     CycleForm,
     Permutation,
@@ -231,6 +231,8 @@ CONSECUTIVE_OF_WINDOW = {
 }
 
 CONSECUTIVE_PATTERNS = ("123", "132", "213", "231", "312", "321")
+#: The consecutive pattern of each name, built once for the hot counters.
+CONSECUTIVE_SPECS = {name: PatternSpec.parse(f"_{name}") for name in CONSECUTIVE_PATTERNS}
 
 
 def window_pattern_counts(word: MotzkinWord) -> dict[str, int]:
@@ -265,8 +267,8 @@ def transport_statistics(p: Permutation) -> TransportRecord:
     if not avoids(p, CLASSICAL_3412):
         raise ValueError(f"{p} does not avoid 3412")
     direct = {"inv": inv_count(p), "des": des_count(p), "fix": fix_count(p)}
-    for name in CONSECUTIVE_PATTERNS:
-        direct[name] = consecutive_occurrences(p, Permutation.parse(name))
+    for name, spec in CONSECUTIVE_SPECS.items():
+        direct[name] = occurrences(p, spec)
 
     path = involution_to_path(p)
     word = path.word

@@ -109,11 +109,15 @@ def _refuse_large_order(order: int | None) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    for flag, value in (("--nmax", args.nmax), ("--N", args.order)):
+        if value is not None and value < 0:
+            raise ValueError(f"{flag} must be non-negative, got {value}")
     _refuse_large_order(args.order)
     if args.suite == "cluster" and args.factors:
         words = tuple(w.strip() for w in args.factors.split(",") if w.strip())
+        given = {"order": args.order, "nmax": args.nmax}
         failures = checks.check_cluster_family(
-            words, order=args.order or 12, nmax=args.nmax or 10
+            words, **{k: v for k, v in given.items() if v is not None}
         )
         label = f"cluster {','.join(words)}"
     else:

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .errors import BoundExceededError
-
-ENUMERATION_BOUND = 14
+from .permutations import ENUMERATION_BOUND
 
 _DELTA = {"U": 1, "D": -1, "H": 0, "T": 0}
 

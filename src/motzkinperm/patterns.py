@@ -16,6 +16,7 @@ pattern on 1,2,3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -38,6 +39,22 @@ class PatternSpec:
         m = len(self.letters)
         if not all(1 <= i <= m - 1 for i in self.adjacency):
             raise ValueError(f"adjacency indices must lie in 1..{m - 1}")
+        # The matcher places letters right to left.  For letter k it needs:
+        # whether k is glued to letter k + 1, its value, and the values of
+        # the letters right of k nearest below and above it (0 and m + 1
+        # when there are none).  Order isomorphism with the letters placed
+        # so far holds exactly when the candidate lies between those two.
+        letters = self.letters
+        plan = tuple(
+            (
+                k + 1 in self.adjacency,
+                v,
+                max((u for u in letters[k + 1 :] if u < v), default=0),
+                min((u for u in letters[k + 1 :] if u > v), default=m + 1),
+            )
+            for k, v in enumerate(letters)
+        )
+        object.__setattr__(self, "_plan", plan)
 
     @property
     def is_classical(self) -> bool:
@@ -96,6 +113,54 @@ class PatternSpec:
         return "_" + text if len(blocks[0]) > 1 else text
 
 
+def _count(
+    values: Sequence[int], spec: PatternSpec, ends: Iterable[int], first: bool = False
+) -> int:
+    """Number of occurrences of the pattern in values whose last letter sits
+    at one of the 0-based indices in ``ends``; with ``first``, stop at the
+    first one found (the result is then 0 or 1).
+
+    Letters are placed right to left from that anchor.  A letter glued to
+    its right neighbour has one candidate position, a free letter scans
+    leftwards, and each candidate is compared only with the placed letters
+    nearest to it in value (see ``PatternSpec._plan``)."""
+    plan = spec._plan
+    m = len(plan)
+    if m == 0:
+        return 1
+    # got[v] is the host value matched to pattern value v.  got[0] lies
+    # below every host value (they start at 1); got[m + 1] is unbounded
+    # because the partial words of enumerate_class hold values larger than
+    # their length.
+    got = [0] * (m + 1) + [math.inf]
+
+    def extend(k: int, right: int) -> int:
+        """Ways to place letters k, k-1, ..., 0 left of index right."""
+        if k < 0:
+            return 1
+        glued, value, below, above = plan[k]
+        low, high = got[below], got[above]
+        found = 0
+        for pos in range(right - 1, max(right - 2, k - 1) if glued else k - 1, -1):
+            v = values[pos]
+            if low < v < high:
+                got[value] = v
+                found += extend(k - 1, pos)
+                if found and first:
+                    break
+        return found
+
+    last = spec.letters[m - 1]
+    found = 0
+    for end in ends:
+        if end >= m - 1:
+            got[last] = values[end]
+            found += extend(m - 2, end)
+            if found and first:
+                break
+    return found
+
+
 def occurrences(p: Permutation, t: PatternSpec) -> int:
     """Number of index tuples i_1 < ... < i_m whose letters are order
     isomorphic to the pattern and satisfy every adjacency constraint.
@@ -103,103 +168,12 @@ def occurrences(p: Permutation, t: PatternSpec) -> int:
     >>> occurrences(Permutation.parse("431256"), PatternSpec.parse("2_13"))
     2
     """
-    letters = t.letters
-    m = len(letters)
-    n = len(p)
-    if m > n:
-        return 0
-    count = 0
-    positions: list[int] = []
-
-    def extend(k: int) -> None:
-        nonlocal count
-        if k == m:
-            count += 1
-            return
-        if k > 0 and k in t.adjacency:
-            candidates: Iterable[int] = (positions[-1] + 1,)
-        else:
-            start = positions[-1] + 1 if k else 0
-            candidates = range(start, n - (m - k) + 1)
-        for pos in candidates:
-            if pos > n - (m - k):
-                continue
-            v = p[pos]
-            if all((v > p[q]) == (letters[k] > letters[j]) for j, q in enumerate(positions)):
-                positions.append(pos)
-                extend(k + 1)
-                positions.pop()
-
-    extend(0)
-    return count
-
-
-def _has_occurrence_ending_at(values: Sequence[int], t: PatternSpec, end: int) -> bool:
-    """True iff some occurrence of t in values has its last letter at the
-    0-based index ``end``.  Used for incremental pruning."""
-    letters = t.letters
-    m = len(letters)
-    if m > end + 1:
-        return False
-    positions: list[int] = []
-
-    def extend(k: int) -> bool:
-        if k == m:
-            return True
-        if k == m - 1:
-            candidates: Iterable[int] = (end,)
-        elif k > 0 and k in t.adjacency:
-            candidates = (positions[-1] + 1,)
-        else:
-            start = positions[-1] + 1 if k else 0
-            candidates = range(start, end - (m - 1 - k) + 1)
-        for pos in candidates:
-            if pos > end or (k == m - 1 and k in t.adjacency and pos != positions[-1] + 1):
-                continue
-            v = values[pos]
-            if all(
-                (v > values[q]) == (letters[k] > letters[j]) for j, q in enumerate(positions)
-            ):
-                positions.append(pos)
-                if extend(k + 1):
-                    positions.pop()
-                    return True
-                positions.pop()
-        return False
-
-    return extend(0)
+    return _count(p, t, range(len(p)))
 
 
 def contains(p: Permutation, t: PatternSpec) -> bool:
     """Early-exit containment test; equivalent to occurrences(p, t) > 0."""
-    letters = t.letters
-    m = len(letters)
-    n = len(p)
-    if m > n:
-        return False
-    positions: list[int] = []
-
-    def extend(k: int) -> bool:
-        if k == m:
-            return True
-        if k > 0 and k in t.adjacency:
-            candidates: Iterable[int] = (positions[-1] + 1,)
-        else:
-            start = positions[-1] + 1 if k else 0
-            candidates = range(start, n - (m - k) + 1)
-        for pos in candidates:
-            if pos > n - (m - k):
-                continue
-            v = p[pos]
-            if all((v > p[q]) == (letters[k] > letters[j]) for j, q in enumerate(positions)):
-                positions.append(pos)
-                if extend(k + 1):
-                    positions.pop()
-                    return True
-                positions.pop()
-        return False
-
-    return extend(0)
+    return _count(p, t, range(len(p)), first=True) > 0
 
 
 def avoids(p: Permutation, t: PatternSpec) -> bool:
@@ -211,22 +185,13 @@ def avoids_all(p: Permutation, ts: Iterable[PatternSpec]) -> bool:
 
 
 def consecutive_occurrences(p: Permutation, t: Permutation) -> int:
-    """Number of length-m windows of p order isomorphic to t.
+    """Number of length-m windows of p order isomorphic to t.  Hot callers
+    pass a prebuilt ``PatternSpec.consecutive(t)`` to ``occurrences``.
 
     >>> consecutive_occurrences(Permutation.parse("321"), Permutation.parse("321"))
     1
     """
-    m = len(t)
-    count = 0
-    for i in range(len(p) - m + 1):
-        window = p[i : i + m]
-        if all(
-            (window[a] > window[b]) == (t[a] > t[b])
-            for a in range(m)
-            for b in range(a + 1, m)
-        ):
-            count += 1
-    return count
+    return occurrences(p, PatternSpec.consecutive(t))
 
 
 def enumerate_class(
@@ -267,7 +232,7 @@ def enumerate_class(
                 continue
             word.append(v)
             used[v] = True
-            if not any(_has_occurrence_ending_at(word, s, len(word) - 1) for s in specs):
+            if not any(_count(word, s, (len(word) - 1,), first=True) for s in specs):
                 yield from place()
             word.pop()
             used[v] = False

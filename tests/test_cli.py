@@ -1,8 +1,10 @@
+import inspect
 import json
 import time
 
 import pytest
 
+from motzkinperm import checks
 from motzkinperm.cli import main
 from motzkinperm.permutations import ENUMERATION_BOUND, SERIES_ORDER_BOUND
 
@@ -106,6 +108,59 @@ def test_verify_refuses_nmax_past_bound_at_once(capsys, suite):
     assert code == 3
     assert out == ""
     assert "refused" in err
+
+
+@pytest.mark.parametrize("suite", ["bijection", "diagram"])
+def test_verify_refuses_all_permutation_suites_past_their_ceiling(capsys, suite):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", suite, "--nmax", "10")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "refused" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cluster", "--S", "HU,DU", "--nmax", "-1", "--N", "3"],
+        ["cluster", "--S", "HU,DU", "--N", "-1"],
+        ["counting", "--nmax", "-1"],
+        ["genfun", "--N", "-2"],
+    ],
+    ids=["cluster-S-nmax", "cluster-S-N", "counting-nmax", "genfun-N"],
+)
+def test_verify_rejects_negative_sizes(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert "non-negative" in err
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        ([], {"order": 12, "nmax": 10}),
+        (["--nmax", "0"], {"order": 12, "nmax": 0}),
+        (["--N", "0"], {"order": 0, "nmax": 10}),
+        (["--nmax", "0", "--N", "0"], {"order": 0, "nmax": 0}),
+    ],
+    ids=["defaults", "nmax-0", "N-0", "both-0"],
+)
+def test_verify_cluster_takes_zero_literally(capsys, monkeypatch, flags, expected):
+    real = checks.check_cluster_family
+    calls = []
+
+    def record(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append({k: bound.arguments[k] for k in ("order", "nmax")})
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "check_cluster_family", record)
+    code, out, _ = run(capsys, "verify", "cluster", "--S", "HU,DU", *flags)
+    assert code == 0 and "PASS" in out
+    assert calls == [expected]
 
 
 def test_verify_refuses_series_order_past_bound(capsys):

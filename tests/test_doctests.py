@@ -1,0 +1,17 @@
+import doctest
+import importlib
+import pkgutil
+
+import pytest
+
+import motzkinperm
+
+MODULES = ["motzkinperm"] + [
+    f"motzkinperm.{info.name}" for info in pkgutil.iter_modules(motzkinperm.__path__)
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_doctests(name):
+    result = doctest.testmod(importlib.import_module(name))
+    assert result.failed == 0

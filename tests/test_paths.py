@@ -165,6 +165,11 @@ def test_enumeration_counts():
         next(enumerate_motzkin(15))
 
 
+def test_enumerate_histories_refuses_past_bound():
+    with pytest.raises(BoundExceededError):
+        next(enumerate_histories(13))
+
+
 def test_motzkin_and_catalan_numbers():
     assert [motzkin_number(n) for n in range(7)] == [1, 1, 2, 4, 9, 21, 51]
     assert [catalan_number(n) for n in range(6)] == [1, 1, 2, 5, 14, 42]

@@ -58,17 +58,30 @@ def test_occurrences_trivial():
     p = Permutation.parse("35142")
     assert occurrences(p, PatternSpec.parse("1")) == len(p)
     assert occurrences(Permutation.parse("123456"), PatternSpec.parse("_123")) == 4
+    empty = PatternSpec(Permutation(()))
+    assert occurrences(p, empty) == 1 and contains(p, empty)
+    assert occurrences(Permutation(()), empty) == 1
+
+
+def brute_force_occurrences(p, spec):
+    """Index tuples order isomorphic to the pattern whose glued letters
+    sit next to each other."""
+    m = len(spec.letters)
+    count = 0
+    for combo in itertools.combinations(range(len(p)), m):
+        if any(combo[i] != combo[i - 1] + 1 for i in spec.adjacency):
+            continue
+        vals = [p[i] for i in combo]
+        if all((vals[a] > vals[b]) == (spec.letters[a] > spec.letters[b])
+               for a, b in itertools.combinations(range(m), 2)):
+            count += 1
+    return count
 
 
 def test_classical_occurrences_against_brute_force():
     pattern = PatternSpec.parse("132")
     for p in enumerate_permutations(6):
-        expected = 0
-        for combo in itertools.combinations(range(6), 3):
-            vals = [p[i] for i in combo]
-            if vals[0] < vals[2] < vals[1]:
-                expected += 1
-        assert occurrences(p, pattern) == expected
+        assert occurrences(p, pattern) == brute_force_occurrences(p, pattern)
 
 
 perms_to_8 = st.integers(min_value=0, max_value=8).flatmap(
@@ -81,14 +94,39 @@ def test_classical_occurrences_brute_force_random(word):
     p = Permutation(word)
     for text in ("132", "3412"):
         pattern = PatternSpec.parse(text)
-        m = len(pattern.letters)
-        expected = 0
-        for combo in itertools.combinations(range(len(p)), m):
-            vals = [p[i] for i in combo]
-            if all((vals[a] > vals[b]) == (pattern.letters[a] > pattern.letters[b])
-                   for a in range(m) for b in range(a + 1, m)):
-                expected += 1
-        assert occurrences(p, pattern) == expected
+        assert occurrences(p, pattern) == brute_force_occurrences(p, pattern)
+
+
+pattern_specs = st.integers(min_value=1, max_value=4).flatmap(
+    lambda m: st.tuples(
+        st.permutations(list(range(1, m + 1))),
+        st.lists(st.booleans(), min_size=m - 1, max_size=m - 1),
+    )
+).map(
+    lambda t: PatternSpec(
+        Permutation(t[0]), frozenset(i for i, glued in enumerate(t[1], start=1) if glued)
+    )
+)
+
+
+@given(perms_to_8, pattern_specs)
+def test_occurrences_brute_force_random_spec(word, spec):
+    p = Permutation(word)
+    expected = brute_force_occurrences(p, spec)
+    assert occurrences(p, spec) == expected
+    assert contains(p, spec) == (expected > 0)
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [("1_32", "1_23"), ("132", "_123"), ("3412",), ("_321", "2_13"), ("12_3",),
+     ("3_1_2", "_2413"), ("2_143", "321")],
+)
+def test_enumerate_class_equals_filtered_permutations(texts):
+    specs = [PatternSpec.parse(t) for t in texts]
+    for n in range(8):
+        expected = [p for p in enumerate_permutations(n) if avoids_all(p, specs)]
+        assert list(enumerate_class(n, specs)) == expected
 
 
 def test_avoids_examples():
