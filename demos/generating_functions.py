@@ -30,8 +30,8 @@ print("Setting y = z = w = 1 recovers the Motzkin numbers:")
 print(" ", [F.coefficient(n, at={"y": 1, "z": 1, "w": 1}) for n in range(N + 1)])
 print()
 
-print("Weak valleys over Motzkin paths (a Laurent twist of the descent")
-print("distribution; z marks weak valleys):")
+print("Weak valleys over Motzkin paths (the root of a first-return")
+print("quadratic; z marks weak valleys):")
 G = weak_valley_gf(6)
 for n in range(7):
     print(f"  [n={n}] {G.format_coefficient(n)}")

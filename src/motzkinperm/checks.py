@@ -9,11 +9,13 @@ what gets verified.
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from typing import Callable, Sequence
 
 from .bijections import (
+    CONSECUTIVE_OF_WINDOW,
     CONSECUTIVE_PATTERNS,
     CONSECUTIVE_SPECS,
     VINCULAR_123,
@@ -49,6 +51,8 @@ from .genfun import (
     weak_valley_gf,
 )
 from .paths import (
+    DESCENT_FACTORS,
+    WEAK_VALLEY_FACTORS,
     MotzkinWord,
     area,
     catalan_number,
@@ -58,7 +62,7 @@ from .paths import (
     enumerate_motzkin,
     motzkin_number,
     named_statistic,
-    subword_count,
+    path_series,
     tunnels,
 )
 from .patterns import PatternSpec, enumerate_class, occurrences
@@ -68,8 +72,6 @@ from .permutations import (
     des_count,
     enumerate_involutions,
     enumerate_permutations,
-    fix_count,
-    inv_count,
     involution_number,
 )
 from .series import SeriesRing, TruncatedSeries, fixed_point_solve, solve_quadratic
@@ -150,10 +152,17 @@ def check_stat_transport(nmax: int = 10) -> list[str]:
     return failures
 
 
+#: Over the class avoiding 132 and consecutive 123, the path statistic
+#: that the occurrences of each consecutive pattern become.
+S132_PATTERN_STATISTICS = {"213": "long_tunnels", "231": "noninitial_up",
+                           "312": "nonfinal_peaks", "321": "distinguished_H"}
+
+
 def check_s132_transport(nmax: int = 10) -> list[str]:
     """For every member of the class avoiding 132 and consecutive 123:
-    coinv equals the area of its path and des equals its number of
-    tunnels minus one; the tunnel reconstruction inverts the map."""
+    coinv equals the area of its path, des its number of tunnels minus one,
+    each pattern count its path statistic in S132_PATTERN_STATISTICS, and
+    the tunnel reconstruction inverts the map."""
     _refuse_past_bound(nmax, "s132-transport")
     failures: list[str] = []
     class_patterns = (PatternSpec.parse("132"), PatternSpec.parse("_123"))
@@ -168,100 +177,91 @@ def check_s132_transport(nmax: int = 10) -> list[str]:
                 failures.append(f"coinv({p}) != area({word})")
             if n and des_count(p) != len(tunnels(word)) - 1:
                 failures.append(f"des({p}) != tunnels({word}) - 1")
+            for pattern, statistic in S132_PATTERN_STATISTICS.items():
+                if occurrences(p, CONSECUTIVE_SPECS[pattern]) != named_statistic(word, statistic):
+                    failures.append(f"occ(_{pattern}, {p}) != {statistic}({word})")
             if motzkin_to_perm(word) != p:
                 failures.append(f"tunnel reconstruction fails for {p}")
     return failures
 
 
-def _class_tables(nmax: int):
-    """Enumerate both classes once and tabulate every statistic the
-    generating functions predict."""
-    inv_tables = {n: {} for n in range(nmax + 1)}
-    pattern_tables = {name: {n: {} for n in range(nmax + 1)} for name in CONSECUTIVE_PATTERNS}
-    spec_3412 = PatternSpec.parse("3412")
-
-    for n in range(nmax + 1):
-        for p in enumerate_class(n, (spec_3412,), base="involutions"):
-            key = (inv_count(p), des_count(p), fix_count(p))
-            inv_tables[n][key] = inv_tables[n].get(key, 0) + 1
-            f = fix_count(p)
-            for name, spec in CONSECUTIVE_SPECS.items():
-                k = (occurrences(p, spec), f)
-                table = pattern_tables[name][n]
-                table[k] = table.get(k, 0) + 1
-
-    coinv_tables = {n: {} for n in range(nmax + 1)}
-    perm_pattern_tables = {
-        name: {n: {} for n in range(nmax + 1)} for name in ("213", "231", "312", "321")
-    }
-    class_patterns = (PatternSpec.parse("132"), PatternSpec.parse("_123"))
-    for n in range(nmax + 1):
-        for p in enumerate_class(n, class_patterns, base="all"):
-            key = (coinv_count(p), des_count(p))
-            coinv_tables[n][key] = coinv_tables[n].get(key, 0) + 1
-            for name in perm_pattern_tables:
-                k = (occurrences(p, CONSECUTIVE_SPECS[name]),)
-                table = perm_pattern_tables[name][n]
-                table[k] = table.get(k, 0) + 1
-    return inv_tables, pattern_tables, coinv_tables, perm_pattern_tables
+# ---------------------------------------------------------------------------
+# path-side routes: a ``path_series`` start state and step per named series
 
 
-def check_genfun_tables(nmax: int = 10, order: int = 12) -> list[str]:
-    """Every generating function reproduces the oracle tables exactly for
-    all n <= nmax; the two routes for the inversion series agree to the
-    full order; the two routes for the 312 series agree; the six pattern
-    series satisfy the window-sum identity."""
-    _refuse_past_bound(nmax, "genfun")
+def _factor_occurrences(words: Sequence[str], mark_h: bool = True):
+    """t per factor ending at the step (and z per H); the state is the
+    longest suffix read that is a proper prefix of a factor."""
+    prefixes = {w[:i] for w in words for i in range(len(w))}
+
+    def step(suffix: str, h: int, c: str):
+        read = suffix + c
+        count = sum(read.endswith(w) for w in words)
+        while read not in prefixes:
+            read = read[1:]
+        return read, (count, int(c == "H"))[: 1 + mark_h]
+
+    return step
+
+
+def _windows(pattern: str) -> list[str]:
+    return [w for w, p in CONSECUTIVE_OF_WINDOW.items() if p == pattern]
+
+
+def _before_non_d(mark):
+    """t per step that ``mark(state, letter)`` picks out and that is not
+    followed exclusively by D's: the mark waits in the state until a non-D."""
+
+    def step(state, h: int, c: str):
+        inner, waiting = state
+        inner, marked = mark(inner, c)
+        return (inner, marked or (waiting and c == "D")), (int(waiting and c != "D"),)
+
+    return step
+
+
+#: The area of a word is the sum of its step heights plus #U, so
+#: inv = 2*area - #U adds 2h + [U] per step; over the class avoiding 132 and
+#: _123, des = tunnels - 1 = #U + #H - 1, one per U or H after the first step.
+PATH_ROUTES = {
+    "inv_des_fix": (inv_des_fix_gf, "", lambda last, h, c: (
+        c, (2 * h + (c == "U"), int(last + c in DESCENT_FACTORS), int(c == "H")))),
+    "weak_valley": (weak_valley_gf, "", _factor_occurrences(WEAK_VALLEY_FACTORS, False)),
+    "coinv_des": (coinv_des_gf, False, lambda started, h, c: (
+        True, (h + (c == "U"), int(started and c != "D")))),
+    "f123_inv": (f123_inv, "", _factor_occurrences(_windows("123"))),
+    "f132_inv": (f132_inv, "", _factor_occurrences(_windows("132"))),
+    "f213_inv": (f213_inv, "", _factor_occurrences(_windows("213"))),
+    "f231_inv": (f231_inv, "", _factor_occurrences(_windows("231"))),
+    "f312_inv": (f312_inv, "", _factor_occurrences(_windows("312"))),
+    "f321_inv": (f321_inv, "", _factor_occurrences(_windows("321"))),
+    "f312_via_t1t2": (f312_via_t1t2, "", _factor_occurrences(_windows("312"))),
+    # a tunnel is long unless its D comes right after its U; an up step is
+    # non-initial when a step comes before it
+    "f213_perm": (f213_perm, "", _factor_occurrences(("UU", "UH"), False)),
+    "f231_perm": (f231_perm, "", _factor_occurrences(("UU", "DU", "HU"), False)),
+    "f312_perm": (f312_perm, ("", False), _before_non_d(lambda s, c: (c, s + c == "UD"))),
+    "f321_perm": (f321_perm, ("", False), _before_non_d(lambda s, c: (c, c == "H" and s != ""))),
+}
+
+
+def check_genfun_tables(order: int = 12) -> list[str]:
+    """Every named generating function equals the path transfer matrix of
+    its statistics at full order; the continued-fraction and recurrence
+    routes for the inversion series agree; the six pattern series satisfy
+    the window-sum identity."""
     failures: list[str] = []
-    inv_tables, pattern_tables, coinv_tables, perm_pattern_tables = _class_tables(nmax)
-
-    def compare(series: TruncatedSeries, tables, label: str) -> None:
-        for n in range(min(nmax, series.ring.order) + 1):
-            if series.coefficient(n) != tables[n]:
-                failures.append(f"{label} differs from the oracle at n={n}")
-
-    f_rec = inv_des_fix_gf(order)
-    compare(f_rec, inv_tables, "inv_des_fix_gf")
-    if f_rec != inv_des_fix_gf(order, method="continued-fraction"):
+    series: dict[str, TruncatedSeries] = {}
+    for name, (gf, start, step) in PATH_ROUTES.items():
+        got = series[name] = gf(order)
+        for n in sorted({k[0] for k in (got - path_series(got.ring, step, start)).terms}):
+            failures.append(f"{name} differs from the path transfer matrix at n={n}")
+    if series["inv_des_fix"] != inv_des_fix_gf(order, method="continued-fraction"):
         failures.append(f"continued-fraction route disagrees at order {order}")
-
-    series_by_pattern = {
-        "123": f123_inv(order),
-        "132": f132_inv(order),
-        "213": f213_inv(order),
-        "231": f231_inv(order),
-        "312": f312_inv(order),
-        "321": f321_inv(order),
-    }
-    for name, series in series_by_pattern.items():
-        compare(series, pattern_tables[name], f"f{name}_inv")
-    if f312_via_t1t2(order) != series_by_pattern["312"]:
-        failures.append("two-variable route to f312_inv disagrees")
-
-    compare(coinv_des_gf(order), coinv_tables, "coinv_des_gf")
-    for name, fn in (
-        ("213", f213_perm),
-        ("231", f231_perm),
-        ("312", f312_perm),
-        ("321", f321_perm),
-    ):
-        compare(fn(order), perm_pattern_tables[name], f"f{name}_perm")
-
-    wv = weak_valley_gf(order)
-    for n in range(nmax + 1):
-        census: dict[tuple[int, ...], int] = {}
-        for w in enumerate_motzkin(n):
-            k = (named_statistic(w, "weak_valleys"),)
-            census[k] = census.get(k, 0) + 1
-        if wv.coefficient(n) != census:
-            failures.append(f"weak_valley_gf differs from the path census at n={n}")
-
     # every length-3 window realizes exactly one pattern
-    for n in range(2, nmax + 1):
-        total = 0
-        for series in series_by_pattern.values():
-            total += sum(k[0] * c for k, c in series.coefficient(n).items())
-        if total != (n - 2) * motzkin_number(n):
+    for n in range(2, order + 1):
+        polys = [series[f"f{p}_inv"].coefficient(n) for p in CONSECUTIVE_PATTERNS]
+        if sum(k[0] * c for poly in polys for k, c in poly.items()) != (n - 2) * motzkin_number(n):
             failures.append(f"window-sum identity fails at n={n}")
     return failures
 
@@ -269,23 +269,17 @@ def check_genfun_tables(nmax: int = 10, order: int = 12) -> list[str]:
 def check_cluster_family(
     words: Sequence[str], order: int = 12, nmax: int = 10
 ) -> list[str]:
-    """The cluster series for one factor set reproduces the brute-force
-    census of Motzkin words by occurrence count and H count."""
+    """The cluster series for one factor set equals the path transfer
+    matrix by occurrence count and H count for every n <= min(order, nmax)."""
     _refuse_past_bound(nmax, "cluster")
-    failures: list[str] = []
     try:
         spec = ClusterSpec(tuple(words))
-        series = cluster_count_gf(spec, order)
+        series = cluster_count_gf(spec, order).truncate(min(order, nmax))
     except ClusterError as exc:
         return [f"cluster engine rejected {tuple(words)}: {exc}"]
-    for n in range(min(order, nmax) + 1):
-        census: dict[tuple[int, int], int] = {}
-        for w in enumerate_motzkin(n):
-            key = (sum(subword_count(w, v) for v in spec.words), w.count("H"))
-            census[key] = census.get(key, 0) + 1
-        if series.coefficient(n) != census:
-            failures.append(f"cluster series for {spec.words} differs at n={n}")
-    return failures
+    difference = series - path_series(series.ring, _factor_occurrences(spec.words))
+    return [f"cluster series for {spec.words} differs at n={n}"
+            for n in sorted({k[0] for k in difference.terms})]
 
 
 def random_cluster_specs(count: int, seed: int = 20190521, order: int = 10) -> list[ClusterSpec]:
@@ -317,8 +311,8 @@ def check_cluster_engine(
     order: int = 12, nmax: int = 10, random_sets: int = 20, seed: int = 20190521
 ) -> list[str]:
     """Closed-form cluster series for the two worked factor families, exact
-    equality with the corresponding pattern series, and census agreement
-    for randomized valid families."""
+    equality with the corresponding pattern series, and agreement with the
+    path transfer matrix for randomized valid families."""
     _refuse_past_bound(nmax, "cluster")
     failures: list[str] = []
     ring = SeriesRing(order, ("t", "z"))
@@ -376,10 +370,7 @@ def check_counting(nmax: int = 10) -> list[str]:
             failures.append(f"|M_{n}| != Motzkin({n})")
         if sum(1 for _ in enumerate_class(n, class_patterns, base="all")) != m:
             failures.append(f"|S_{n}(132, consecutive 123)| != Motzkin({n})")
-        if (
-            sum(1 for _ in enumerate_class(n, vincular, base="all"))
-            != involution_number(n)
-        ):
+        if sum(1 for _ in enumerate_class(n, vincular, base="all")) != involution_number(n):
             failures.append(f"|S_{n}(1_32, 1_23)| != involution number")
         if sum(1 for _ in enumerate_bicolored(n)) != catalan_number(n):
             failures.append(f"|CM_{n}| != Catalan({n})")
@@ -437,14 +428,14 @@ def check_series_engine(trials: int = 40, seed: int = 7) -> list[str]:
     return failures
 
 
-#: Suite registry for the command line: name -> (runner, default kwargs).
+#: Suite registry for the command line: name -> (runner, default kwargs),
+#: the defaults read off the runner's signature.
 SUITES: dict[str, tuple[Callable[..., list[str]], dict]] = {
-    "bijection": (check_bijection_suite, {"nmax": 8}),
-    "diagram": (check_diagram_suite, {"nmax": 8}),
-    "stat-transport": (check_stat_transport, {"nmax": 10}),
-    "s132-transport": (check_s132_transport, {"nmax": 10}),
-    "genfun": (check_genfun_tables, {"nmax": 10, "order": 12}),
-    "cluster": (check_cluster_engine, {"order": 12, "nmax": 10, "random_sets": 20}),
-    "counting": (check_counting, {"nmax": 10}),
-    "series": (check_series_engine, {"trials": 40, "seed": 7}),
+    name: (runner, {k: p.default for k, p in inspect.signature(runner).parameters.items()})
+    for name, runner in (
+        ("bijection", check_bijection_suite), ("diagram", check_diagram_suite),
+        ("stat-transport", check_stat_transport), ("s132-transport", check_s132_transport),
+        ("genfun", check_genfun_tables), ("cluster", check_cluster_engine),
+        ("counting", check_counting), ("series", check_series_engine),
+    )
 }

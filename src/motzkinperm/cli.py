@@ -109,28 +109,20 @@ def _refuse_large_order(order: int | None) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    for flag, value in (("--nmax", args.nmax), ("--N", args.order)):
-        if value is not None and value < 0:
-            raise ValueError(f"{flag} must be non-negative, got {value}")
+    given = {k: getattr(args, k) for k in ("nmax", "order", "seed", "random_sets")}
+    for flag, name in (("--nmax", "nmax"), ("--N", "order"), ("--random-sets", "random_sets")):
+        if given[name] is not None and given[name] < 0:
+            raise ValueError(f"{flag} must be non-negative, got {given[name]}")
     _refuse_large_order(args.order)
     if args.suite == "cluster" and args.factors:
         words = tuple(w.strip() for w in args.factors.split(",") if w.strip())
-        given = {"order": args.order, "nmax": args.nmax}
-        failures = checks.check_cluster_family(
-            words, **{k: v for k, v in given.items() if v is not None}
-        )
+        kwargs = {k: given[k] for k in ("order", "nmax") if given[k] is not None}
+        failures = checks.check_cluster_family(words, **kwargs)
         label = f"cluster {','.join(words)}"
     else:
+        # a flag the suite takes is passed, any other flag is ignored
         runner, defaults = checks.SUITES[args.suite]
-        kwargs = dict(defaults)
-        if args.nmax is not None and "nmax" in kwargs:
-            kwargs["nmax"] = args.nmax
-        if args.order is not None and "order" in kwargs:
-            kwargs["order"] = args.order
-        if args.seed is not None and "seed" in kwargs:
-            kwargs["seed"] = args.seed
-        if args.random_sets is not None and "random_sets" in kwargs:
-            kwargs["random_sets"] = args.random_sets
+        kwargs = {k: v if given.get(k) is None else given[k] for k, v in defaults.items()}
         failures = runner(**kwargs)
         label = f"{args.suite} {kwargs}"
     if args.format == "json":

@@ -1,6 +1,6 @@
 """Named generating functions over the two permutation classes, the
 generic cluster engine for counting Motzkin words by factor occurrences,
-and the brute-force distribution oracle they are all checked against.
+and the brute-force distribution oracle behind ``table``.
 
 Variable conventions: x always marks length.  Over 3412-avoiding
 involutions, y marks inversions, z marks descents (or, in the
@@ -8,8 +8,9 @@ pattern-occurrence series, fixed points), w marks fixed points, t marks
 pattern occurrences.  Over permutations avoiding 132 and consecutive 123,
 y marks coinversions, z marks descents, t marks pattern occurrences.
 
-Every series here is exact; the acceptance suite compares each one,
-coefficient by coefficient, with exhaustive enumeration.
+Every series here is exact; the ``genfun`` suite compares each one,
+coefficient by coefficient and at full order, with the path transfer
+matrix (``paths.path_series``) of the statistics it counts.
 """
 
 from __future__ import annotations
@@ -94,18 +95,13 @@ def inv_des_fix_gf(order: int, method: str = "recurrence") -> TruncatedSeries:
 
 def weak_valley_gf(order: int) -> TruncatedSeries:
     """Motzkin paths by length and number of weak valleys (factors HH, HU,
-    DH, DU), in the variable z.
-
-    Derived from the descent distribution through the complementation
-    G(x,z) = 1 + (F(xz, 1, 1/z, 1) - 1)/z, carried out at the coefficient
-    level where the reciprocal provably cancels.
-    """
-    f = inv_des_fix_gf(order).evaluate(y=1, w=1)
-    ring = f.ring
-    twisted = monomial_substitute(
-        f - ring.one(), ring, {"x": {"x": 1, "z": 1}, "z": {"z": -1}}
-    )
-    return ring.one() + twisted.shift_var("z", -1)
+    DH, DU), in the variable z: the root with G(0) = 1 of
+    x^2 z G^2 + (x^2 - x^2 z + x z - 1) G + (1 + x - x z) = 0, that is of
+    G = 1 + x(1 + z(G-1)) + x^2 G (1 + z(G-1)) by first return, since a weak
+    valley is an H or D step followed by an H or U step."""
+    ring = SeriesRing(order, ("z",))
+    x, z, one = ring.x(), ring.var("z"), ring.one()
+    return solve_quadratic(x * x * z, x * x - x * x * z + x * z - one, one + x - x * z, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +221,7 @@ def coinv_des_gf(order: int) -> TruncatedSeries:
 
     At y=1 this is the distribution of (number of tunnels - 1) over
     Motzkin paths (OEIS A107131); at z=1 it is the area distribution
-    (OEIS A129181); both are checked against the enumeration oracle.
+    (OEIS A129181).
     """
     ring = SeriesRing(order, ("y", "z"))
     x, y, z = ring.x(), ring.var("y"), ring.var("z")
@@ -575,6 +571,8 @@ def distribution_oracle(
     enumeration of the class."""
     if isinstance(class_spec, str):
         class_spec = ClassSpec.parse(class_spec)
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
     if n > bound:
         raise BoundExceededError(n, bound, f"oracle for {class_spec}")
     stats = tuple(statistics)

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from operator import add
+from typing import Callable, Hashable, Iterator, NamedTuple
 
 from .errors import BoundExceededError
 from .permutations import ENUMERATION_BOUND
+from .series import SeriesRing, TruncatedSeries
 
 _DELTA = {"U": 1, "D": -1, "H": 0, "T": 0}
 
@@ -427,6 +429,37 @@ def enumerate_histories(n: int, bound: int = ENUMERATION_BOUND) -> Iterator[Lagu
         ranges = (range(history_label_bound(ch, h) + 1) for ch, h in zip(word, heights))
         for labels in itertools.product(*ranges):
             yield LaguerreHistory(word, labels)
+
+
+def path_series(ring: SeriesRing, step: Callable, start: Hashable = "") -> TruncatedSeries:
+    """Sum over Motzkin words of length n <= ring.order of x^n times the
+    product of their step weights, by transfer matrix: no word is listed.
+    From the state ``start``, each letter calls ``step(state, height,
+    letter)``, with the height ``height_list`` gives, for the next state and
+    the weight's exponents, one per auxiliary variable.  By H steps:
+
+    >>> print(path_series(SeriesRing(3, ("z",)), lambda s, h, c: (s, (int(c == "H"),))))
+    [n=0] 1
+    [n=1] z
+    [n=2] z^2 + 1
+    [n=3] z^3 + 3*z
+    """
+    layer = {(0, start): {(0,) * len(ring.vars): 1}}
+    terms: dict[tuple[int, ...], int] = {}
+    for n in range(ring.order + 1):
+        following: dict = {}
+        for (y, state), poly in layer.items():
+            for e, c in poly.items() if y == 0 else ():
+                terms[(n, *e)] = terms.get((n, *e), 0) + c
+            for letter, y2 in (("U", y + 1), ("D", y - 1), ("H", y)):
+                if 0 <= y2 < ring.order - n:
+                    state2, inc = step(state, min(y, y2), letter)
+                    target = following.setdefault((y2, state2), {})
+                    for e, c in poly.items():
+                        e2 = tuple(map(add, e, inc))
+                        target[e2] = target.get(e2, 0) + c
+        layer = following
+    return TruncatedSeries(ring, terms)
 
 
 def motzkin_number(n: int) -> int:

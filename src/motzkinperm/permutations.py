@@ -19,8 +19,8 @@ from .errors import BoundExceededError
 #: Default ceiling for exhaustive enumeration; 12! is already half a billion.
 ENUMERATION_BOUND = 12
 #: Ceiling for the series order of ``gf --N`` and ``verify --N``.  The
-#: slowest named series (``inv_des_fix``, ``weak_valley``) take 7.5-9.7 s
-#: at order 22, 15 s at 23 and 18 s at 24 on a 2-CPU machine (Python 3.11).
+#: slowest named series, ``inv_des_fix``, takes 10 s at order 22, 20 s at 23
+#: and 25 s at 24 on a 2-CPU machine (Python 3.11); ``coinv_des`` comes next.
 SERIES_ORDER_BOUND = 22
 
 CycleForm = tuple[tuple[int, ...], ...]

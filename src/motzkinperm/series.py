@@ -336,22 +336,6 @@ class TruncatedSeries:
             result = result + TruncatedSeries(self.ring, groups[e]) * power
         return result
 
-    def shift_var(self, var: str, delta: int) -> "TruncatedSeries":
-        """Multiply by var**delta; delta may be negative, in which case
-        every term must be divisible (no negative exponents may appear)."""
-        idx = 1 + self.ring.vars.index(var)
-        out = {}
-        for k, v in self.terms.items():
-            e = k[idx] + delta
-            if e < 0:
-                raise InvariantError(
-                    f"shift of {var} by {delta} drives a term negative: {k}"
-                )
-            key = list(k)
-            key[idx] = e
-            out[tuple(key)] = v
-        return TruncatedSeries(self.ring, out)
-
     def evaluate(self, **values: Coefficient) -> "TruncatedSeries":
         """Evaluate auxiliary variables at rationals, returning a series in
         the ring on the remaining variables."""

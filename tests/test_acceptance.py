@@ -37,21 +37,24 @@ def test_criterion_3_statistic_transport():
 
 def test_criterion_4_coinv_transport():
     """For every member of the 132 / consecutive-123 class with n <= 10:
-    coinv = area and des = tunnels - 1."""
+    coinv = area, des = tunnels - 1, and the occurrences of consecutive
+    213, 231, 312 and 321 equal long tunnels, non-initial up steps,
+    non-final peaks and distinguished H steps."""
     _report("4 coinv-des-transport", checks.check_s132_transport(nmax=10))
 
 
 def test_criterion_5_generating_functions():
-    """All ten named generating functions equal the oracle tables for
-    n <= 10; the continued-fraction and fixed-point routes agree to order
-    12 in all variables."""
-    _report("5 generating-functions", checks.check_genfun_tables(nmax=10, order=12))
+    """All fourteen named generating functions equal the path transfer
+    matrix of their statistics at order 12, in all variables; the
+    continued-fraction and fixed-point routes agree to order 12; the six
+    pattern series satisfy the window-sum identity."""
+    _report("5 generating-functions", checks.check_genfun_tables(order=12))
 
 
 def test_criterion_6_cluster_engine():
     """The cluster engine reproduces both worked closed-form families to
-    order 12 and the factor census for 20 randomized valid families to
-    n <= 10."""
+    order 12, and for 20 randomized valid families it equals the path
+    transfer matrix of their factor occurrences for n <= 10."""
     _report("6 cluster-engine", checks.check_cluster_engine(order=12, nmax=10, random_sets=20))
 
 

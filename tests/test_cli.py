@@ -127,8 +127,9 @@ def test_verify_refuses_all_permutation_suites_past_their_ceiling(capsys, suite)
         ["cluster", "--S", "HU,DU", "--N", "-1"],
         ["counting", "--nmax", "-1"],
         ["genfun", "--N", "-2"],
+        ["cluster", "--random-sets", "-1", "--nmax", "3", "--N", "3"],
     ],
-    ids=["cluster-S-nmax", "cluster-S-N", "counting-nmax", "genfun-N"],
+    ids=["cluster-S-nmax", "cluster-S-N", "counting-nmax", "genfun-N", "cluster-random-sets"],
 )
 def test_verify_rejects_negative_sizes(capsys, argv):
     code, out, err = run(capsys, "verify", *argv)
@@ -161,6 +162,38 @@ def test_verify_cluster_takes_zero_literally(capsys, monkeypatch, flags, expecte
     code, out, _ = run(capsys, "verify", "cluster", "--S", "HU,DU", *flags)
     assert code == 0 and "PASS" in out
     assert calls == [expected]
+
+
+def test_verify_cluster_passes_seed(capsys, monkeypatch):
+    real = checks.random_cluster_specs
+    seeds = []
+
+    def record(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        seeds.append(bound.arguments["seed"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "random_cluster_specs", record)
+    code, out, _ = run(capsys, "verify", "cluster", "--seed", "5", "--nmax", "5", "--N", "6")
+    assert code == 0
+    assert out == "verify cluster {'order': 6, 'nmax': 5, 'random_sets': 20, 'seed': 5}: PASS\n"
+    assert seeds == [5]
+
+
+def test_verify_ignores_flags_a_suite_does_not_take(capsys):
+    code, out, _ = run(capsys, "verify", "genfun", "--nmax", "4", "--seed", "3", "--N", "6")
+    assert code == 0
+    assert out == "verify genfun {'order': 6}: PASS\n"
+
+
+def test_verify_cluster_long_factor_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "verify", "cluster", "--S", "UD" * 10, "--N", "12", "--nmax", "12"
+    )
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and "PASS" in out
 
 
 def test_verify_refuses_series_order_past_bound(capsys):
@@ -220,6 +253,16 @@ def test_table_empty_size(capsys):
                        "--format", "csv")
     assert code == 0
     assert out.strip().splitlines()[1] == "0,1"
+
+
+@pytest.mark.parametrize(
+    "class_spec, stat", [("I(3412)", "des"), ("S(132)", "des"), ("M", "peaks")]
+)
+def test_table_rejects_negative_size(capsys, class_spec, stat):
+    code, out, err = run(capsys, "table", "--class", class_spec, "--stats", stat, "--n", "-1")
+    assert code == 2
+    assert out == ""
+    assert "non-negative" in err
 
 
 def test_table_bound_refusal(capsys):

@@ -3,8 +3,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from motzkinperm import checks, cli
+from motzkinperm.bijections import CONSECUTIVE_PATTERNS, window_pattern_counts
 from motzkinperm.errors import BoundExceededError
 from motzkinperm.paths import (
+    DESCENT_FACTORS,
     BicoloredMotzkinWord,
     LabeledMotzkinPath,
     LaguerreHistory,
@@ -23,9 +26,11 @@ from motzkinperm.paths import (
     labeled_to_history,
     motzkin_number,
     named_statistic,
+    path_series,
     subword_count,
     tunnels,
 )
+from motzkinperm.series import SeriesRing, TruncatedSeries
 
 step_words = st.text(alphabet="UDHT", max_size=10)
 
@@ -218,3 +223,67 @@ def test_history_labeled_identification():
         history_to_labeled(LaguerreHistory(BicoloredMotzkinWord("UTD"), (0, 0, 0)))
     with pytest.raises(ValueError):
         history_to_labeled(LaguerreHistory(BicoloredMotzkinWord("UHD"), (0, 1, 0)))
+
+
+def _census(ring: SeriesRing, stats) -> TruncatedSeries:
+    """Sum of x^n times the monomial of ``stats(word)`` over every Motzkin
+    word of length n <= ring.order, by listing the words."""
+    terms: dict[tuple[int, ...], int] = {}
+    for n in range(ring.order + 1):
+        for w in enumerate_motzkin(n):
+            key = (n, *stats(w))
+            terms[key] = terms.get(key, 0) + 1
+    return TruncatedSeries(ring, terms)
+
+
+def _pattern_and_fix(pattern):
+    return lambda w: (window_pattern_counts(w)[pattern], w.count("H"))
+
+
+def _path_statistic(name):
+    return lambda w: (named_statistic(w, name),)
+
+
+#: The statistics of every named series on one word, as
+#: transport_statistics and named_statistic define them.
+WORD_STATISTICS = {
+    "inv_des_fix": lambda w: (
+        2 * area(w) - w.count("U"),
+        sum(subword_count(w, f) for f in DESCENT_FACTORS),
+        w.count("H"),
+    ),
+    "weak_valley": _path_statistic("weak_valleys"),
+    "coinv_des": lambda w: (area(w), len(tunnels(w)) - 1 if w else 0),
+    **{f"f{p}_inv": _pattern_and_fix(p) for p in CONSECUTIVE_PATTERNS},
+    "f312_via_t1t2": _pattern_and_fix("312"),
+    **{
+        f"f{p}_perm": _path_statistic(stat)
+        for p, stat in checks.S132_PATTERN_STATISTICS.items()
+    },
+}
+
+
+def test_path_routes_cover_every_named_series():
+    assert {name: route[0] for name, route in checks.PATH_ROUTES.items()} == cli.GF_FUNCTIONS
+
+
+@pytest.mark.parametrize("name", sorted(checks.PATH_ROUTES))
+def test_path_route_equals_word_census(name):
+    # n runs from the empty word and the word "H" up to 8
+    gf, start, step = checks.PATH_ROUTES[name]
+    ring = SeriesRing(8, gf(0).ring.vars)
+    assert path_series(ring, step, start) == _census(ring, WORD_STATISTICS[name])
+
+
+@pytest.mark.parametrize("words", [("HH", "UDU"), ("UDUD", "HUH", "UU")])
+def test_factor_route_equals_word_census(words):
+    ring = SeriesRing(8, ("t", "z"))
+    got = path_series(ring, checks._factor_occurrences(words))
+    want = _census(ring, lambda w: (sum(subword_count(w, v) for v in words), w.count("H")))
+    assert got == want
+
+
+def test_path_series_counts_motzkin_words():
+    ring = SeriesRing(10)
+    got = path_series(ring, lambda state, h, c: (state, ()))
+    assert [got.coefficient(n) for n in range(11)] == [{(): motzkin_number(n)} for n in range(11)]

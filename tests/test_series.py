@@ -274,14 +274,6 @@ def test_monomial_substitute_requires_x_power():
         monomial_substitute(ring.x(), ring, {"x": {"z": 1}})
 
 
-def test_shift_var():
-    ring = SeriesRing(4, ("z",))
-    s = ring.var("z") + ring.var("z", 2)
-    assert s.shift_var("z", -1) == ring.one() + ring.var("z")
-    with pytest.raises(InvariantError):
-        (ring.one() + ring.var("z")).shift_var("z", -1)
-
-
 def test_evaluate_and_coefficient():
     ring = SeriesRing(4, ("t", "z"))
     s = ring.monomial(3, 2, t=1, z=2) + ring.monomial(1, 2)
