@@ -64,7 +64,6 @@ VINCULAR_132 = PatternSpec.parse("1_32")
 VINCULAR_123 = PatternSpec.parse("1_23")
 CLASSICAL_132 = PatternSpec.parse("132")
 CLASSICAL_3412 = PatternSpec.parse("3412")
-CONSECUTIVE_123 = PatternSpec.parse("_123")
 
 
 def perm_to_history(p: Permutation) -> LaguerreHistory:
@@ -322,7 +321,7 @@ def check_diagram(
     failures: list[str] = []
     checked = 0
 
-    class_members: set[Permutation] = set()
+    class_histories: set[LaguerreHistory] = set()
     for p in enumerate_permutations(n):
         checked += 1
         h = history_map(p)
@@ -333,11 +332,10 @@ def check_diagram(
         if in_class != labeled_shape:
             failures.append(f"history-shape characterization fails for {p}: {h}")
         if in_class:
-            class_members.add(p)
+            class_histories.add(h)
         if avoids(p, CLASSICAL_132) != all(v == 0 for v in h.labels):
             failures.append(f"zero-label characterization fails for {p}: {h}")
 
-    class_histories = {history_map(p) for p in class_members}
     all_labeled = {labeled_to_history(m) for m in enumerate_labeled(n)}
     if class_histories != all_labeled:
         failures.append(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -136,7 +135,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     stats = tuple(s.strip() for s in args.stats.split(",") if s.strip())
-    table = distribution_oracle(ClassSpec.parse(args.class_spec), stats, args.n, bound=args.bound)
+    table = distribution_oracle(ClassSpec.parse(args.class_spec), stats, args.n)
     rows = table.rows()
     if args.format == "json":
         payload = {
@@ -216,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--class", dest="class_spec", required=True)
     p_table.add_argument("--stats", required=True, help="comma-separated statistic names")
     p_table.add_argument("--n", type=int, required=True)
-    p_table.add_argument("--bound", type=int, default=os.environ.get("MOTZKINPERM_BOUND", "12"))
     p_table.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_table.set_defaults(func=_cmd_table)
 

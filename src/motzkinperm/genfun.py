@@ -68,13 +68,13 @@ def inv_des_fix_gf(order: int, method: str = "recurrence") -> TruncatedSeries:
     if method == "recurrence":
         x, y, z, w = ring.x(), ring.var("y"), ring.var("z"), ring.var("w")
         one = ring.one()
-        xy2 = x * y * y
+        xy2 = {"x": {"x": 1, "y": 2}}
         xw = x * w
         x2yz = x * x * y * z
         x2yz2 = x2yz * z
 
         def phi(f: TruncatedSeries) -> TruncatedSeries:
-            return one + xw * f + x2yz * f + x2yz2 * (f.substitute("x", xy2) - one) * f
+            return one + xw * f + x2yz * f + x2yz2 * (monomial_substitute(f, ring, xy2) - one) * f
 
         return fixed_point_solve(phi, ring)
     if method == "continued-fraction":
@@ -226,10 +226,10 @@ def coinv_des_gf(order: int) -> TruncatedSeries:
     ring = SeriesRing(order, ("y", "z"))
     x, y, z = ring.x(), ring.var("y"), ring.var("z")
     one = ring.one()
-    xy = x * y
+    xy = {"x": {"x": 1, "y": 1}}
 
     def phi(f: TruncatedSeries) -> TruncatedSeries:
-        fxy = f.substitute("x", xy)
+        fxy = monomial_substitute(f, ring, xy)
         return (
             one
             + x
@@ -503,13 +503,13 @@ class ClassSpec:
             return "M"
         return f"{self.base}({','.join(str(p) for p in self.patterns)})"
 
-    def members(self, n: int, bound: int = ENUMERATION_BOUND) -> Iterator:
+    def members(self, n: int) -> Iterator:
         if self.base == "M":
-            yield from enumerate_motzkin(n, bound)
+            yield from enumerate_motzkin(n)
         elif self.base == "I":
-            yield from enumerate_class(n, self.patterns, base="involutions", bound=bound)
+            yield from enumerate_class(n, self.patterns, base="involutions")
         else:
-            yield from enumerate_class(n, self.patterns, base="all", bound=bound)
+            yield from enumerate_class(n, self.patterns, base="all")
 
 
 _PERM_STATISTICS: dict[str, Callable[[Permutation], int]] = {
@@ -565,20 +565,20 @@ def distribution_oracle(
     class_spec: ClassSpec | str,
     statistics: Sequence[str],
     n: int,
-    bound: int = ENUMERATION_BOUND,
 ) -> DistributionTable:
     """Tabulate the joint distribution of the statistics by exhaustive
-    enumeration of the class."""
+    enumeration of the class.  Past ``ENUMERATION_BOUND`` it refuses before
+    it starts, whatever the class."""
     if isinstance(class_spec, str):
         class_spec = ClassSpec.parse(class_spec)
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    if n > bound:
-        raise BoundExceededError(n, bound, f"oracle for {class_spec}")
+    if n > ENUMERATION_BOUND:
+        raise BoundExceededError(n, ENUMERATION_BOUND, f"oracle for {class_spec}")
     stats = tuple(statistics)
     funcs = [statistic_function(name, class_spec.base) for name in stats]
     counts: dict[tuple[int, ...], int] = {}
-    for member in class_spec.members(n, bound):
+    for member in class_spec.members(n):
         key = tuple(f(member) for f in funcs)
         counts[key] = counts.get(key, 0) + 1
     return DistributionTable(n, str(class_spec), stats, counts)

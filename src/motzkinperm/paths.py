@@ -395,36 +395,32 @@ def _words(n: int, alphabet: str) -> Iterator[str]:
     return extend([], 0)
 
 
-def enumerate_motzkin(n: int, bound: int = ENUMERATION_BOUND) -> Iterator[MotzkinWord]:
-    if n > bound:
-        raise BoundExceededError(n, bound, "Motzkin word enumeration")
+def enumerate_motzkin(n: int) -> Iterator[MotzkinWord]:
+    if n > ENUMERATION_BOUND:
+        raise BoundExceededError(n, ENUMERATION_BOUND, "Motzkin word enumeration")
     for s in _words(n, "DHU"):
         yield MotzkinWord(s)
 
 
-def enumerate_bicolored(n: int, bound: int = ENUMERATION_BOUND) -> Iterator[BicoloredMotzkinWord]:
-    if n > bound:
-        raise BoundExceededError(n, bound, "bicolored Motzkin word enumeration")
+def enumerate_bicolored(n: int) -> Iterator[BicoloredMotzkinWord]:
+    if n > ENUMERATION_BOUND:
+        raise BoundExceededError(n, ENUMERATION_BOUND, "bicolored Motzkin word enumeration")
     for s in _words(n, "DHTU"):
         yield BicoloredMotzkinWord(s)
 
 
-def enumerate_labeled(n: int, bound: int = ENUMERATION_BOUND) -> Iterator[LabeledMotzkinPath]:
+def enumerate_labeled(n: int) -> Iterator[LabeledMotzkinPath]:
     """All labeled Motzkin paths: every Motzkin word with every admissible
     assignment of D labels."""
-    if n > bound:
-        raise BoundExceededError(n, bound, "labeled Motzkin path enumeration")
-    for word in enumerate_motzkin(n, bound):
+    for word in enumerate_motzkin(n):
         d_heights = [h for ch, h in zip(word, height_list(word)) if ch == "D"]
         for labels in itertools.product(*(range(h + 1) for h in d_heights)):
             yield LabeledMotzkinPath(word, labels)
 
 
-def enumerate_histories(n: int, bound: int = ENUMERATION_BOUND) -> Iterator[LaguerreHistory]:
+def enumerate_histories(n: int) -> Iterator[LaguerreHistory]:
     """All Laguerre histories of length n (there are n! of them)."""
-    if n > bound:
-        raise BoundExceededError(n, bound, "Laguerre history enumeration")
-    for word in enumerate_bicolored(n, bound):
+    for word in enumerate_bicolored(n):
         heights = height_list(word)
         ranges = (range(history_label_bound(ch, h) + 1) for ch, h in zip(word, heights))
         for labels in itertools.product(*ranges):

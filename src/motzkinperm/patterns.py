@@ -195,10 +195,7 @@ def consecutive_occurrences(p: Permutation, t: Permutation) -> int:
 
 
 def enumerate_class(
-    n: int,
-    patterns: Iterable[PatternSpec],
-    base: str = "all",
-    bound: int = ENUMERATION_BOUND,
+    n: int, patterns: Iterable[PatternSpec], base: str = "all"
 ) -> Iterator[Permutation]:
     """Members of the avoidance class, in lexicographic order.
 
@@ -209,16 +206,14 @@ def enumerate_class(
     """
     specs = tuple(patterns)
     if base == "involutions":
-        if n > bound:
-            raise BoundExceededError(n, bound, "involution class enumeration")
-        for p in enumerate_involutions(n, bound):
+        for p in enumerate_involutions(n):
             if avoids_all(p, specs):
                 yield p
         return
     if base != "all":
         raise ValueError(f"unknown base {base!r}")
-    if n > bound:
-        raise BoundExceededError(n, bound, "class enumeration")
+    if n > ENUMERATION_BOUND:
+        raise BoundExceededError(n, ENUMERATION_BOUND, "class enumeration")
 
     word: list[int] = []
     used = [False] * (n + 1)

@@ -16,7 +16,8 @@ from typing import Iterable, Iterator
 
 from .errors import BoundExceededError
 
-#: Default ceiling for exhaustive enumeration; 12! is already half a billion.
+#: Ceiling on n for every exhaustive enumerator; 12! is already half a
+#: billion.  It bounds n, not work: a walk of all of S_12 takes hours.
 ENUMERATION_BOUND = 12
 #: Ceiling for the series order of ``gf --N`` and ``verify --N``.  The
 #: slowest named series, ``inv_des_fix``, takes 10 s at order 22, 20 s at 23
@@ -48,10 +49,6 @@ class Permutation(tuple):
     def image(self, i: int) -> int:
         """Value at 1-based position i."""
         return self[i - 1]
-
-    def position(self, v: int) -> int:
-        """1-based position of value v."""
-        return self.index(v) + 1
 
     @classmethod
     def parse(cls, text: str) -> "Permutation":
@@ -237,19 +234,19 @@ def run_anatomy(p: Permutation) -> RunAnatomy:
     return RunAnatomy(runs, tuple(roles))
 
 
-def enumerate_permutations(n: int, bound: int = ENUMERATION_BOUND) -> Iterator[Permutation]:
+def enumerate_permutations(n: int) -> Iterator[Permutation]:
     """All n! permutations, in lexicographic order."""
-    if n > bound:
-        raise BoundExceededError(n, bound, "permutation enumeration")
+    if n > ENUMERATION_BOUND:
+        raise BoundExceededError(n, ENUMERATION_BOUND, "permutation enumeration")
     for word in itertools.permutations(range(1, n + 1)):
         yield Permutation(word)
 
 
-def enumerate_involutions(n: int, bound: int = ENUMERATION_BOUND) -> Iterator[Permutation]:
+def enumerate_involutions(n: int) -> Iterator[Permutation]:
     """All involutions of size n, generated directly by choosing, for the
     least unplaced element, either a fixed point or a partner."""
-    if n > bound:
-        raise BoundExceededError(n, bound, "involution enumeration")
+    if n > ENUMERATION_BOUND:
+        raise BoundExceededError(n, ENUMERATION_BOUND, "involution enumeration")
     word = [0] * n
 
     def fill(free: list[int]) -> Iterator[Permutation]:

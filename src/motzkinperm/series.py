@@ -218,14 +218,6 @@ class TruncatedSeries:
             e >>= 1
         return result
 
-    def __truediv__(self, other) -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.invert()
-
     # -- inversion, square root ---------------------------------------------
 
     def _has_auxiliary_constant(self) -> bool:
@@ -306,20 +298,17 @@ class TruncatedSeries:
     # -- substitution --------------------------------------------------------
 
     def substitute(self, var: str, replacement: "TruncatedSeries | Coefficient") -> "TruncatedSeries":
-        """Replace a variable by a series in the same ring.
+        """Replace an auxiliary variable by a series in the same ring.
 
-        Substituting for x requires the replacement to have x-valuation at
-        least 1 so the truncation stays exact.
+        x is replaced only by monomials, through ``monomial_substitute``,
+        which remaps exponents instead of building powers of x.
         """
+        if var == "x":
+            raise ValueError("substitute x by a monomial with monomial_substitute")
         if isinstance(replacement, (int, Fraction)):
             replacement = self.ring.const(replacement)
         self._check(replacement)
-        if var == "x":
-            idx = 0
-            if replacement and replacement.x_valuation() < 1:
-                raise ValueError("substitution for x needs x-valuation >= 1")
-        else:
-            idx = 1 + self.ring.vars.index(var)
+        idx = 1 + self.ring.vars.index(var)
         groups: dict[int, dict[tuple[int, ...], Coefficient]] = {}
         for k, v in self.terms.items():
             e = k[idx]
@@ -376,19 +365,11 @@ class TruncatedSeries:
         every auxiliary variable."""
         if not 0 <= x_degree <= self.ring.order:
             raise ValueError(f"x-degree {x_degree} outside 0..{self.ring.order}")
-        poly = {k[1:]: v for k, v in self.terms.items() if k[0] == x_degree}
         if at is None:
-            return poly
+            return {k[1:]: v for k, v in self.terms.items() if k[0] == x_degree}
         if set(at) != set(self.ring.vars):
             raise ValueError("evaluation must cover every auxiliary variable")
-        vals = [Fraction(at[name]) for name in self.ring.vars]
-        total: Coefficient = 0
-        for exps, c in poly.items():
-            for val, e in zip(vals, exps):
-                if e:
-                    c = c * val**e
-            total += c
-        return _norm(Fraction(total)) if isinstance(total, Fraction) else total
+        return self.evaluate(**at).terms.get((x_degree,), 0)
 
     def format_coefficient(self, x_degree: int) -> str:
         return format_poly(self.coefficient(x_degree), self.ring.vars)
@@ -544,12 +525,10 @@ def solve_quadratic(
 
 
 def fixed_point_solve(
-    mapping: Callable[[TruncatedSeries], TruncatedSeries],
-    ring: SeriesRing,
-    seed: TruncatedSeries | None = None,
+    mapping: Callable[[TruncatedSeries], TruncatedSeries], ring: SeriesRing
 ) -> TruncatedSeries:
     """Unique fixed point of an x-adically contracting self-map, reached by
-    iteration from the seed (default 1) at growing precision.
+    iteration from 1 at growing precision.
 
     The map must be a contraction: images of series agreeing to x-degree d
     agree to degree d+1.  So iteration k keeps only the terms of x-degree
@@ -557,7 +536,7 @@ def fixed_point_solve(
     Stabilization is verified by one full-order check that the result is
     fixed; a non-contracting map raises InvariantError.
     """
-    f = ring.one() if seed is None else seed
+    f = ring.one()
     for degree in range(ring.order + 1):
         f = TruncatedSeries(ring, {k: v for k, v in mapping(f).terms.items() if k[0] <= degree})
     if mapping(f) != f:
@@ -569,19 +548,16 @@ def continued_fraction(
     b: Callable[[int], TruncatedSeries],
     c: Callable[[int], TruncatedSeries],
     ring: SeriesRing,
-    depth: int | None = None,
 ) -> TruncatedSeries:
     """Evaluate 1 / (1 + b_0 - c_0 / (1 + b_1 - c_1 / (...))) to the ring's
     truncation order.
 
     Every level must contribute positive x-degree (all b_i and c_i have
-    x-valuation >= 1), so a depth one beyond the truncation order is
-    always sufficient and deeper tails cannot change the result.
+    x-valuation >= 1), so levels 0..order+1 are always enough: a deeper
+    tail cannot change the result.
     """
-    if depth is None:
-        depth = ring.order + 1
     f = ring.one()
-    for i in range(depth, -1, -1):
+    for i in range(ring.order + 1, -1, -1):
         bi, ci = b(i), c(i)
         if (bi and bi.x_valuation() < 1) or (ci and ci.x_valuation() < 1):
             raise ValueError(f"level {i} has a term of x-degree 0")

@@ -271,19 +271,22 @@ def test_table_bound_refusal(capsys):
     assert "refused" in err
 
 
-def test_table_bound_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv("MOTZKINPERM_BOUND", "3")
-    code, _, err = run(capsys, "table", "--class", "M", "--stats", "peaks", "--n", "4")
-    assert code == 3
-    assert "refused" in err
-
-
-def test_table_bad_bound_environment_is_usage(capsys, monkeypatch):
-    monkeypatch.setenv("MOTZKINPERM_BOUND", "abc")
+def test_table_has_no_bound_option(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["table", "--class", "M", "--stats", "peaks", "--n", "3"])
+        main(["table", "--class", "S()", "--stats", "inv", "--n", "13", "--bound", "13"])
     assert exc.value.code == 2
-    assert "invalid int value" in capsys.readouterr().err
+    assert "unrecognized arguments: --bound 13" in capsys.readouterr().err
+
+
+def test_table_ignores_bound_environment(capsys, monkeypatch):
+    # the ceiling cannot be raised: all of S_13 would take about a day
+    monkeypatch.setenv("MOTZKINPERM_BOUND", "13")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "table", "--class", "S()", "--stats", "inv", "--n", "13")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err == f"refused: oracle for S() at n=13 refused: exceeds the configured bound {ENUMERATION_BOUND}\n"
 
 
 def test_table_empty_subword_factor_is_usage(capsys):

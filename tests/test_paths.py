@@ -167,7 +167,7 @@ def test_enumeration_counts():
         math.factorial(n) for n in range(7)
     ]
     with pytest.raises(BoundExceededError):
-        next(enumerate_motzkin(15))
+        next(enumerate_motzkin(13))
 
 
 def test_enumerate_histories_refuses_past_bound():

@@ -1,10 +1,13 @@
+import inspect
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+from motzkinperm import genfun, paths, patterns, series
 from motzkinperm.errors import BoundExceededError
 from motzkinperm.permutations import (
+    ENUMERATION_BOUND,
     Permutation,
     ascending_runs,
     coinv_count,
@@ -158,7 +161,38 @@ def test_enumeration_counts():
 
 
 def test_enumeration_bound_refusal():
-    with pytest.raises(BoundExceededError):
-        next(enumerate_permutations(13))
-    with pytest.raises(BoundExceededError):
-        next(enumerate_involutions(9, bound=8))
+    # every enumerator starts at the one ceiling and refuses one past it;
+    # the wrappers rely on the refusal of the enumerator they call
+    enumerators = (
+        enumerate_permutations,
+        enumerate_involutions,
+        lambda n: patterns.enumerate_class(n, ()),
+        lambda n: patterns.enumerate_class(n, (), base="involutions"),
+        paths.enumerate_motzkin,
+        paths.enumerate_bicolored,
+        paths.enumerate_labeled,
+        paths.enumerate_histories,
+        lambda n: genfun.ClassSpec.parse("I(3412)").members(n),
+    )
+    for enumerate_ in enumerators:
+        assert next(enumerate_(ENUMERATION_BOUND)) is not None
+        with pytest.raises(BoundExceededError):
+            next(enumerate_(ENUMERATION_BOUND + 1))
+
+
+def test_no_ceiling_or_solver_knobs():
+    enumerators = [
+        enumerate_permutations,
+        enumerate_involutions,
+        patterns.enumerate_class,
+        paths.enumerate_motzkin,
+        paths.enumerate_bicolored,
+        paths.enumerate_labeled,
+        paths.enumerate_histories,
+        genfun.ClassSpec.members,
+        genfun.distribution_oracle,
+    ]
+    for fn in enumerators:
+        assert "bound" not in inspect.signature(fn).parameters, fn.__qualname__
+    assert "seed" not in inspect.signature(series.fixed_point_solve).parameters
+    assert "depth" not in inspect.signature(series.continued_fraction).parameters
