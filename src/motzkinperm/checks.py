@@ -254,7 +254,7 @@ def check_genfun_tables(order: int = 12) -> list[str]:
     series: dict[str, TruncatedSeries] = {}
     for name, (gf, start, step) in PATH_ROUTES.items():
         got = series[name] = gf(order)
-        for n in sorted({k[0] for k in (got - path_series(got.ring, step, start)).terms}):
+        for n in (got - path_series(got.ring, step, start)).x_degrees():
             failures.append(f"{name} differs from the path transfer matrix at n={n}")
     if series["inv_des_fix"] != inv_des_fix_gf(order, method="continued-fraction"):
         failures.append(f"continued-fraction route disagrees at order {order}")
@@ -279,7 +279,7 @@ def check_cluster_family(
         return [f"cluster engine rejected {tuple(words)}: {exc}"]
     difference = series - path_series(series.ring, _factor_occurrences(spec.words))
     return [f"cluster series for {spec.words} differs at n={n}"
-            for n in sorted({k[0] for k in difference.terms})]
+            for n in difference.x_degrees()]
 
 
 def random_cluster_specs(count: int, seed: int = 20190521, order: int = 10) -> list[ClusterSpec]:

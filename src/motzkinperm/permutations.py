@@ -20,8 +20,8 @@ from .errors import BoundExceededError
 #: billion.  It bounds n, not work: a walk of all of S_12 takes hours.
 ENUMERATION_BOUND = 12
 #: Ceiling for the series order of ``gf --N`` and ``verify --N``.  The
-#: slowest named series, ``inv_des_fix``, takes 10 s at order 22, 20 s at 23
-#: and 25 s at 24 on a 2-CPU machine (Python 3.11); ``coinv_des`` comes next.
+#: slowest named series, ``inv_des_fix``, takes 2 s at order 22, 5.5-7 s at
+#: 24 and 10 s at 25 on a 2-CPU machine (Python 3.11); ``coinv_des`` is next.
 SERIES_ORDER_BOUND = 22
 
 CycleForm = tuple[tuple[int, ...], ...]

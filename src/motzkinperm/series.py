@@ -6,8 +6,14 @@ x, kept modulo x^(N+1), whose coefficients are multivariate polynomials in
 the auxiliary variables with exact rational coefficients.  There is no
 floating point anywhere; coefficients are Python ints or Fractions.
 
-Terms are stored sparsely as a dict from exponent vectors
-(x_degree, e_1, ..., e_m) to coefficients.
+Terms are stored sparsely as a dict from packed keys to coefficients: the
+exponents (x_degree, e_1, ..., e_m) in one int, e_m in the lowest 16-bit
+field and x above all m fields, so that multiplying monomials adds keys,
+keys sort by x-degree, and a key is kept when below the cap (N+1) << 16m.
+Each field holds 0..MAX_EXPONENT under a guard bit; a product that sets one
+raises InvariantError.  Tuples are packed and unpacked only at the ring
+boundary: the constructor, monomial, coefficient, evaluate, the
+substitutions and the renderers.
 """
 
 from __future__ import annotations
@@ -15,12 +21,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from functools import reduce
+from itertools import compress
+from operator import or_
 from typing import Callable, Collection, Mapping
 
 from .errors import InvariantError
 
 Coefficient = int | Fraction
+
+_FIELD = 16
+_MASK = (1 << _FIELD) - 1
+#: Largest exponent of an auxiliary variable that a key can hold.
+MAX_EXPONENT = (1 << (_FIELD - 1)) - 1
 
 
 def _norm(c: Coefficient) -> Coefficient:
@@ -30,8 +43,8 @@ def _norm(c: Coefficient) -> Coefficient:
 
 
 def _clear_denominators(
-    terms: Mapping[tuple[int, ...], Coefficient],
-) -> tuple[int, Mapping[tuple[int, ...], int]]:
+    terms: Mapping[int, Coefficient],
+) -> tuple[int, Mapping[int, int]]:
     """A common denominator d of the coefficients, and the terms times d,
     which are all ints; multiplying ints avoids a gcd per product."""
     d = 1
@@ -48,10 +61,10 @@ def _clear_denominators(
 
 def _subtract_products(acc: dict, left: Collection, right: Collection) -> None:
     """acc -= (sum of the left terms) * (sum of the right terms), over
-    (exponent key, coefficient) pairs; keys add componentwise."""
+    (packed key, coefficient) pairs."""
     for k1, c1 in left:
         for k2, c2 in right:
-            key = tuple(map(add, k1, k2))
+            key = k1 + k2
             acc[key] = acc.get(key, 0) - c1 * c2
 
 
@@ -68,22 +81,49 @@ class SeriesRing:
             raise ValueError("truncation order must be non-negative")
         if len(set(self.vars)) != len(self.vars) or "x" in self.vars:
             raise ValueError(f"bad auxiliary variable names: {self.vars}")
+        # the shift of each auxiliary field, e_1 first, and of x above them
+        shifts = tuple(range(_FIELD * len(self.vars) - _FIELD, -1, -_FIELD))
+        object.__setattr__(self, "_shifts", shifts)
+        object.__setattr__(self, "_x_shift", _FIELD * len(shifts))
+        object.__setattr__(self, "_cap", (self.order + 1) << self._x_shift)
+        object.__setattr__(self, "_guard", sum(1 << (s + _FIELD - 1) for s in shifts))
 
     @property
     def width(self) -> int:
         return 1 + len(self.vars)
 
+    def _index(self, name: str) -> int:
+        if name not in self.vars:
+            raise ValueError(f"unknown variable {name!r}")
+        return self.vars.index(name)
+
+    def _pack(self, key: tuple[int, ...]) -> int:
+        if len(key) != self.width:
+            raise ValueError(f"exponent key {key} needs {self.width} entries (x, {', '.join(self.vars)})")
+        if min(key) < 0:
+            raise ValueError(f"exponent key {key} has a negative exponent, which a series cannot store")
+        if max(key[1:], default=0) > MAX_EXPONENT:
+            raise ValueError(f"exponent key {key} has an exponent above MAX_EXPONENT = {MAX_EXPONENT}")
+        return sum(e << s for e, s in zip(key, (self._x_shift, *self._shifts)))
+
+    def _unpack(self, packed: int) -> tuple[int, ...]:
+        return (packed >> self._x_shift, *(packed >> s & _MASK for s in self._shifts))
+
+    def _checked(self, terms: dict[int, Coefficient]) -> dict[int, Coefficient]:
+        """The terms of a product, once no key of them has set a guard bit."""
+        if reduce(or_, terms, 0) & self._guard:
+            raise InvariantError(f"an auxiliary exponent of a product exceeds {MAX_EXPONENT}")
+        return terms
+
     def zero(self) -> "TruncatedSeries":
-        return TruncatedSeries(self, {})
+        return _series(self, {})
 
     def one(self) -> "TruncatedSeries":
         return self.const(1)
 
     def const(self, c: Coefficient) -> "TruncatedSeries":
         c = _norm(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
-        if c == 0:
-            return self.zero()
-        return TruncatedSeries(self, {(0,) * self.width: c})
+        return _series(self, {0: c} if c else {})
 
     def x(self, power: int = 1) -> "TruncatedSeries":
         return self.monomial(1, power)
@@ -92,12 +132,9 @@ class SeriesRing:
         return self.monomial(1, 0, **{name: power})
 
     def monomial(self, coeff: Coefficient, x: int = 0, **exps: int) -> "TruncatedSeries":
-        key = [x] + [0] * len(self.vars)
-        for name, e in exps.items():
-            key[1 + self.vars.index(name)] = e
-        if x > self.order or coeff == 0:
-            return self.zero()
-        return TruncatedSeries(self, {tuple(key): _norm(coeff)})
+        for name in exps:
+            self._index(name)
+        return TruncatedSeries(self, {(x, *(exps.get(name, 0) for name in self.vars)): coeff})
 
 
 class TruncatedSeries:
@@ -106,10 +143,11 @@ class TruncatedSeries:
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: SeriesRing, terms: Mapping[tuple[int, ...], Coefficient]):
+        """Coefficients keyed by exponent tuples (x_degree, e_1, ..., e_m);
+        terms past the order drop out, and malformed keys are refused."""
+        packed = {ring._pack(k): _norm(v) for k, v in terms.items()}
         self.ring = ring
-        self.terms = {
-            k: _norm(v) for k, v in terms.items() if v != 0 and k[0] <= ring.order
-        }
+        self.terms = {k: v for k, v in packed.items() if v != 0 and k < ring._cap}
 
     # -- basics ------------------------------------------------------------
 
@@ -138,11 +176,15 @@ class TruncatedSeries:
         return not self.terms
 
     def constant_term(self) -> Coefficient:
-        return self.terms.get((0,) * self.ring.width, 0)
+        return self.terms.get(0, 0)
 
     def x_valuation(self) -> int:
         """Least x-degree with a nonzero term; order+1 for the zero series."""
-        return min((k[0] for k in self.terms), default=self.ring.order + 1)
+        return min(self.terms, default=self.ring._cap) >> self.ring._x_shift
+
+    def x_degrees(self) -> list[int]:
+        """The x-degrees with a nonzero term, ascending."""
+        return sorted({k >> self.ring._x_shift for k in self.terms})
 
     # -- ring operations ----------------------------------------------------
 
@@ -156,13 +198,13 @@ class TruncatedSeries:
             if s == 0:
                 out.pop(k, None)
             else:
-                out[k] = s
-        return TruncatedSeries(self.ring, out)
+                out[k] = _norm(s)
+        return _series(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.ring, {k: -v for k, v in self.terms.items()})
+        return _series(self.ring, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other) -> "TruncatedSeries":
         other = self._coerce(other)
@@ -174,34 +216,31 @@ class TruncatedSeries:
         return (-self) + other
 
     def __mul__(self, other) -> "TruncatedSeries":
+        ring = self.ring
         if isinstance(other, (int, Fraction)):
             if other == 0:
-                return self.ring.zero()
-            return TruncatedSeries(self.ring, {k: v * other for k, v in self.terms.items()})
+                return ring.zero()
+            return _series(ring, {k: _norm(v * other) for k, v in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        order = self.ring.order
         da, a = _clear_denominators(self.terms)
         db, b = _clear_denominators(other.terms)
         if len(a) > len(b):
             a, b = b, a
-        by_deg = sorted(b.items(), key=lambda kv: kv[0][0])
-        out: dict[tuple[int, ...], Coefficient] = {}
+        by_key = sorted(b.items())
+        out: dict[int, int] = {}
+        get = out.get
         for k1, c1 in a.items():
-            room = order - k1[0]
-            for k2, c2 in by_deg:
-                if k2[0] > room:
+            room = ring._cap - k1
+            for k2, c2 in by_key:
+                if k2 >= room:
                     break
-                key = tuple(e1 + e2 for e1, e2 in zip(k1, k2))
-                s = out.get(key, 0) + c1 * c2
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        if da * db != 1:
-            out = {k: Fraction(v, da * db) for k, v in out.items()}
-        return TruncatedSeries(self.ring, out)
+                key = k1 + k2
+                out[key] = get(key, 0) + c1 * c2
+        d = da * db
+        terms = {k: v if d == 1 else _norm(Fraction(v, d)) for k, v in out.items() if v}
+        return _series(ring, ring._checked(terms))
 
     __rmul__ = __mul__
 
@@ -221,11 +260,11 @@ class TruncatedSeries:
     # -- inversion, square root ---------------------------------------------
 
     def _has_auxiliary_constant(self) -> bool:
-        return any(k[0] == 0 and any(k[1:]) for k in self.terms)
+        return any(0 < k < 1 << self.ring._x_shift for k in self.terms)
 
     def _integer_rescaling(
         self, c0: Coefficient, factor: int
-    ) -> tuple[int, list[list[tuple[tuple[int, ...], int]]]]:
+    ) -> tuple[int, list[list[tuple[int, int]]]]:
         """Rescale v = self/c0 (constant term 1) to integer coefficients.
 
         With d a common denominator of v, returns s = factor * d and the
@@ -236,10 +275,12 @@ class TruncatedSeries:
         v = self.terms if c0 == 1 else {k: _norm(Fraction(c) / c0) for k, c in self.terms.items()}
         d, cleared = _clear_denominators(v)
         multipliers = [0] + [factor**n * d ** (n - 1) for n in range(1, self.ring.order + 1)]
-        groups: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in multipliers]
+        groups: list[list[tuple[int, int]]] = [[] for _ in multipliers]
+        shift = self.ring._x_shift
         for k, c in cleared.items():
-            if k[0]:
-                groups[k[0]].append((k, c * multipliers[k[0]]))
+            n = k >> shift
+            if n:
+                groups[n].append((k, c * multipliers[n]))
         return factor * d, groups
 
     def invert(self) -> "TruncatedSeries":
@@ -256,18 +297,20 @@ class TruncatedSeries:
         c0 = self.constant_term()
         if c0 == 0 or self._has_auxiliary_constant():
             raise ValueError("invert needs a nonzero constant term free of auxiliaries")
+        ring = self.ring
         scale, a = self._integer_rescaling(c0, 1)
-        g: list[dict[tuple[int, ...], int]] = [{(0,) * self.ring.width: 1}]
-        for n in range(1, self.ring.order + 1):
-            acc: dict[tuple[int, ...], int] = {}
+        g: list[dict[int, int]] = [{0: 1}]
+        for n in range(1, ring.order + 1):
+            acc: dict[int, int] = {}
             for k in range(1, n + 1):
                 _subtract_products(acc, a[k], g[n - k].items())
-            g.append({key: c for key, c in acc.items() if c})
+            g.append(ring._checked({key: c for key, c in acc.items() if c}))
         if scale == 1 and c0 in (1, -1):
             terms = {k: c * c0 for gn in g for k, c in gn.items()}
         else:
-            terms = {k: Fraction(c, c0 * scale ** k[0]) for gn in g for k, c in gn.items()}
-        return TruncatedSeries(self.ring, terms)
+            terms = {k: _norm(Fraction(c, c0 * scale ** (k >> ring._x_shift)))
+                     for gn in g for k, c in gn.items()}
+        return _series(ring, terms)
 
     def sqrt(self) -> "TruncatedSeries":
         """Square root with constant term +1; requires constant term 1.
@@ -281,16 +324,16 @@ class TruncatedSeries:
         """
         if self.constant_term() != 1 or self._has_auxiliary_constant():
             raise ValueError("sqrt needs constant term exactly 1")
+        ring = self.ring
         scale, u = self._integer_rescaling(1, 4)
-        y: list[dict[tuple[int, ...], int]] = [{(0,) * self.ring.width: 1}]
-        for n in range(1, self.ring.order + 1):
-            acc: dict[tuple[int, ...], int] = dict(u[n])
+        y: list[dict[int, int]] = [{0: 1}]
+        for n in range(1, ring.order + 1):
+            acc: dict[int, int] = dict(u[n])
             for k in range(1, n):
                 _subtract_products(acc, y[k].items(), y[n - k].items())
-            y.append({key: c // 2 for key, c in acc.items() if c})
-        root = TruncatedSeries(
-            self.ring, {k: Fraction(c, scale ** k[0]) for yn in y for k, c in yn.items()}
-        )
+            y.append(ring._checked({key: c // 2 for key, c in acc.items() if c}))
+        root = _series(ring, {k: _norm(Fraction(c, scale ** (k >> ring._x_shift)))
+                              for yn in y for k, c in yn.items()})
         if root * root != self:
             raise InvariantError("sqrt residual does not vanish")
         return root
@@ -308,13 +351,11 @@ class TruncatedSeries:
         if isinstance(replacement, (int, Fraction)):
             replacement = self.ring.const(replacement)
         self._check(replacement)
-        idx = 1 + self.ring.vars.index(var)
-        groups: dict[int, dict[tuple[int, ...], Coefficient]] = {}
+        shift = self.ring._shifts[self.ring._index(var)]
+        groups: dict[int, dict[int, Coefficient]] = {}
         for k, v in self.terms.items():
-            e = k[idx]
-            rest = list(k)
-            rest[idx] = 0
-            groups.setdefault(e, {})[tuple(rest)] = v
+            e = k >> shift & _MASK
+            groups.setdefault(e, {})[k - (e << shift)] = v
         result = self.ring.zero()
         power = self.ring.one()
         current = 0
@@ -322,40 +363,32 @@ class TruncatedSeries:
             while current < e:
                 power = power * replacement
                 current += 1
-            result = result + TruncatedSeries(self.ring, groups[e]) * power
+            result = result + _series(self.ring, groups[e]) * power
         return result
 
     def evaluate(self, **values: Coefficient) -> "TruncatedSeries":
         """Evaluate auxiliary variables at rationals, returning a series in
         the ring on the remaining variables."""
-        for name in values:
-            if name not in self.ring.vars:
-                raise ValueError(f"unknown variable {name!r}")
-        keep = [i for i, name in enumerate(self.ring.vars) if name not in values]
-        drop = [(1 + i, Fraction(values[name])) for i, name in enumerate(self.ring.vars) if name in values]
-        target = SeriesRing(self.ring.order, tuple(self.ring.vars[i] for i in keep))
+        ring = self.ring
+        drop = [(1 + ring._index(name), Fraction(value)) for name, value in values.items()]
+        keep = [i for i, name in enumerate(ring.vars) if name not in values]
         out: dict[tuple[int, ...], Coefficient] = {}
         for k, v in self.terms.items():
+            exps = ring._unpack(k)
             c = v
             for pos, val in drop:
-                if k[pos]:
-                    c = c * val ** k[pos]
-            if c == 0:
-                continue
-            key = (k[0],) + tuple(k[1 + i] for i in keep)
-            s = out.get(key, 0) + c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return TruncatedSeries(target, out)
+                if exps[pos]:
+                    c = c * val ** exps[pos]
+            key = (exps[0],) + tuple(exps[1 + i] for i in keep)
+            out[key] = out.get(key, 0) + c
+        return TruncatedSeries(SeriesRing(ring.order, tuple(ring.vars[i] for i in keep)), out)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Restrict to a lower truncation order."""
         if order > self.ring.order:
             raise ValueError("cannot raise the truncation order")
         target = SeriesRing(order, self.ring.vars)
-        return TruncatedSeries(target, {k: v for k, v in self.terms.items() if k[0] <= order})
+        return _series(target, {k: v for k, v in self.terms.items() if k < target._cap})
 
     # -- extraction and rendering --------------------------------------------
 
@@ -366,20 +399,18 @@ class TruncatedSeries:
         if not 0 <= x_degree <= self.ring.order:
             raise ValueError(f"x-degree {x_degree} outside 0..{self.ring.order}")
         if at is None:
-            return {k[1:]: v for k, v in self.terms.items() if k[0] == x_degree}
+            ring = self.ring
+            return {ring._unpack(k)[1:]: v for k, v in self.terms.items() if k >> ring._x_shift == x_degree}
         if set(at) != set(self.ring.vars):
             raise ValueError("evaluation must cover every auxiliary variable")
-        return self.evaluate(**at).terms.get((x_degree,), 0)
+        # with no auxiliary variable left, a key is its x-degree
+        return self.evaluate(**at).terms.get(x_degree, 0)
 
     def format_coefficient(self, x_degree: int) -> str:
         return format_poly(self.coefficient(x_degree), self.ring.vars)
 
     def __str__(self) -> str:
-        lines = [
-            f"[n={d}] {self.format_coefficient(d)}"
-            for d in range(self.ring.order + 1)
-            if any(k[0] == d for k in self.terms)
-        ]
+        lines = [f"[n={d}] {self.format_coefficient(d)}" for d in self.x_degrees()]
         return "\n".join(lines) if lines else "[0]"
 
     def __repr__(self) -> str:
@@ -389,9 +420,18 @@ class TruncatedSeries:
         """Exponent-vector export: {"x^n": {"e1,e2": coefficient}}."""
         out: dict[str, dict[str, str | int]] = {}
         for k, v in sorted(self.terms.items()):
-            degree = out.setdefault(str(k[0]), {})
-            degree[",".join(str(e) for e in k[1:])] = v if isinstance(v, int) else str(v)
+            exps = self.ring._unpack(k)
+            degree = out.setdefault(str(exps[0]), {})
+            degree[",".join(str(e) for e in exps[1:])] = v if isinstance(v, int) else str(v)
         return {"order": self.ring.order, "vars": list(self.ring.vars), "coefficients": out}
+
+
+def _series(ring: SeriesRing, terms: dict[int, Coefficient]) -> TruncatedSeries:
+    """A series from packed keys below the cap and nonzero normed coefficients."""
+    series = object.__new__(TruncatedSeries)
+    series.ring = ring
+    series.terms = terms
+    return series
 
 
 def format_poly(poly: Mapping[tuple[int, ...], Coefficient], vars: tuple[str, ...]) -> str:
@@ -424,45 +464,45 @@ def monomial_substitute(
     mapping: Mapping[str, Mapping[str, int]],
 ) -> TruncatedSeries:
     """Simultaneously replace variables by monomials, possibly with negative
-    exponents (Laurent shifts), checking that every exponent in the result
-    is non-negative.
+    exponents (Laurent shifts), checking that every exponent in the result,
+    that of x included, is non-negative.
 
     This is the one audited place where reciprocal substitutions such as
     z -> 1/z are allowed; they must provably cancel, and an InvariantError
     is raised if any term fails to.  The monomial substituted for x must
     contain x to a power >= 1 so truncation stays sound.
     """
-    source_names = ("x",) + series.ring.vars
-    target_index = {"x": 0, **{name: 1 + i for i, name in enumerate(target.vars)}}
+    source = series.ring
+    for name in set(mapping) - {"x"}:
+        source._index(name)
     rows = []
-    for name in source_names:
-        image = mapping.get(name, {name: 1})
+    for name in ("x",) + source.vars:
         row = [0] * target.width
-        for out_name, e in image.items():
-            row[target_index[out_name]] += e
-        rows.append(tuple(row))
+        for out_name, e in mapping.get(name, {name: 1}).items():
+            row[0 if out_name == "x" else 1 + target._index(out_name)] += e
+        rows.append(row)
     if rows[0][0] < 1:
         raise ValueError("the image of x must contain x to a power >= 1")
-    out: dict[tuple[int, ...], Coefficient] = {}
-    for k, v in series.terms.items():
-        key = [0] * target.width
-        for e, row in zip(k, rows):
-            if e:
-                for j, r in enumerate(row):
-                    key[j] += e * r
-        if any(e < 0 for e in key[1:]):
-            raise InvariantError(
-                f"Laurent substitution left a negative exponent on term {k}"
-            )
-        if key[0] > target.order:
-            continue
-        key_t = tuple(key)
-        s = out.get(key_t, 0) + v
-        if s == 0:
-            out.pop(key_t, None)
-        else:
-            out[key_t] = s
-    return TruncatedSeries(target, out)
+    # the exponents of all terms field by field, then those of their images
+    keys = list(series.terms)
+    columns = [[k >> source._x_shift for k in keys]] + [[k >> s & _MASK for k in keys] for s in source._shifts]
+    packed = [0] * len(keys)
+    for j, (name, shift) in enumerate(zip(("x",) + target.vars, (target._x_shift, *target._shifts))):
+        image = [0] * len(keys)
+        for column, row in zip(columns, rows):
+            if row[j]:
+                image = [a + row[j] * e for a, e in zip(image, column)]
+        if min(image, default=0) < 0:
+            raise InvariantError(f"Laurent substitution left a negative exponent of {name}")
+        if j == 0:
+            kept = [x <= target.order for x in image]
+        elif max(compress(image, kept), default=0) > MAX_EXPONENT:
+            raise ValueError(f"an exponent of {name} in the image is above MAX_EXPONENT = {MAX_EXPONENT}")
+        packed = [p + (e << shift) for p, e in zip(packed, image)]
+    out: dict[int, Coefficient] = {}
+    for k, v in compress(zip(packed, series.terms.values()), kept):
+        out[k] = out.get(k, 0) + v
+    return _series(target, {k: _norm(v) for k, v in out.items() if v})
 
 
 def _rational_sqrt(q: Fraction) -> Fraction | None:
@@ -538,7 +578,7 @@ def fixed_point_solve(
     """
     f = ring.one()
     for degree in range(ring.order + 1):
-        f = TruncatedSeries(ring, {k: v for k, v in mapping(f).terms.items() if k[0] <= degree})
+        f = _series(ring, {k: v for k, v in mapping(f).terms.items() if k >> ring._x_shift <= degree})
     if mapping(f) != f:
         raise InvariantError("fixed-point iteration did not stabilize; map is not a contraction")
     return f

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from motzkinperm.errors import InvariantError
 from motzkinperm.paths import motzkin_number
 from motzkinperm.series import (
+    MAX_EXPONENT,
     SeriesRing,
+    TruncatedSeries,
     continued_fraction,
     fixed_point_solve,
     format_poly,
@@ -317,3 +320,133 @@ def test_str_and_json():
     assert "[n=3] 2*t" in str(s)
     data = s.to_json_dict()
     assert data["coefficients"]["3"] == {"1": 2}
+
+
+# -- the packed-key kernel against plain exponent tuples ----------------------
+
+RINGS = st.builds(
+    SeriesRing, st.integers(min_value=1, max_value=6),
+    st.sampled_from([(), ("a",), ("a", "b"), ("a", "b", "c")]),
+)
+COEFFICIENTS = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+).filter(bool)
+
+
+@st.composite
+def tuple_terms(draw, ring, max_exponent, min_x=0):
+    key = st.tuples(
+        st.integers(min_value=min_x, max_value=ring.order),
+        *[st.integers(min_value=0, max_value=max_exponent)] * len(ring.vars),
+    )
+    return draw(st.dictionaries(key, COEFFICIENTS, max_size=4))
+
+
+def as_tuples(s):
+    """The terms of a series keyed by (x_degree, e_1, ..., e_m)."""
+    return {(n, *e): c for n in range(s.ring.order + 1) for e, c in s.coefficient(n).items()}
+
+
+def naive_mul(a, b, order):
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            key = tuple(map(add, k1, k2))
+            if key[0] <= order:
+                out[key] = out.get(key, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_kernel_matches_tuple_keys(data):
+    ring = data.draw(RINGS)
+    # two exponents of MAX_EXPONENT // 2 still add up to a storable one
+    a = data.draw(tuple_terms(ring, MAX_EXPONENT // 2))
+    b = data.draw(tuple_terms(ring, MAX_EXPONENT // 2))
+    sa, sb = TruncatedSeries(ring, a), TruncatedSeries(ring, b)
+    assert as_tuples(sa) == a
+    assert as_tuples(sa * sb) == naive_mul(a, b, ring.order)
+    total = {k: a.get(k, 0) + b.get(k, 0) for k in a.keys() | b.keys()}
+    assert as_tuples(sa + sb) == {k: c for k, c in total.items() if c}
+    # a term of x-degree n in a reciprocal or root multiplies at most n
+    # tail terms, so its exponents stay within order * (tail exponent)
+    tail = data.draw(tuple_terms(ring, MAX_EXPONENT // ring.order, min_x=1))
+    u = ring.one() + TruncatedSeries(ring, tail)
+    one = {(0,) * ring.width: 1}
+    assert naive_mul(as_tuples(u), as_tuples(u.invert()), ring.order) == one
+    root = u.sqrt()
+    assert naive_mul(as_tuples(root), as_tuples(root), ring.order) == as_tuples(u)
+
+
+def test_product_overflow_raises():
+    ring = SeriesRing(4, ("a", "b"))
+    top = ring.var("b", MAX_EXPONENT - 1) * ring.var("b")
+    assert top.coefficient(0) == {(0, MAX_EXPONENT): 1}
+    # b would carry into the field of a, which must not read a * b^0
+    with pytest.raises(InvariantError):
+        top * ring.var("b")
+    with pytest.raises(InvariantError):
+        ring.monomial(1, 0, a=MAX_EXPONENT) * ring.var("a")
+    with pytest.raises(InvariantError):
+        (ring.one() - ring.monomial(1, 1, a=MAX_EXPONENT // 2 + 1)).invert()
+    with pytest.raises(InvariantError):
+        (ring.one() + ring.monomial(4, 1, b=MAX_EXPONENT // 2 + 1)).sqrt()
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_tuple_keys_round_trip(data):
+    ring = data.draw(RINGS)
+    terms = data.draw(tuple_terms(ring, MAX_EXPONENT))
+    s = TruncatedSeries(ring, terms)
+    for n in range(ring.order + 1):
+        assert s.coefficient(n) == {k[1:]: c for k, c in terms.items() if k[0] == n}
+    exported = s.to_json_dict()["coefficients"]
+    assert exported == {
+        str(n): {",".join(map(str, k[1:])): int(c) if c.denominator == 1 else str(c)
+                 for k, c in sorted(terms.items()) if k[0] == n}
+        for n in sorted({k[0] for k in terms})
+    }
+    assert list(exported) == [str(n) for n in s.x_degrees()]
+
+
+def test_truncation_at_the_order():
+    ring = SeriesRing(5, ("y",))
+    edge = ring.monomial(1, 5, y=MAX_EXPONENT)
+    assert edge.coefficient(5) == {(MAX_EXPONENT,): 1}
+    assert edge.x_degrees() == [5]
+    assert ring.x(6).is_zero()
+    assert TruncatedSeries(ring, {(6, 0): 1}).is_zero()
+    assert ring.monomial(1, 2, y=3) * ring.monomial(1, 3, y=MAX_EXPONENT - 3) == edge
+    assert (ring.monomial(1, 3, y=MAX_EXPONENT) * ring.x(3)).is_zero()
+    assert (ring.one() - ring.x()).invert().coefficient(5) == {(0,): 1}
+    assert edge.truncate(4).is_zero()
+    # a term that substitution sends past the order is dropped unchecked
+    doubled = monomial_substitute(edge + ring.x(2), ring, {"x": {"x": 2}, "y": {"y": 2}})
+    assert doubled == ring.x(4)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda r: r.monomial(1, -1), "negative"),
+    (lambda r: r.monomial(1, 0, y=-1), "negative"),
+    (lambda r: r.monomial(1, 0, y=MAX_EXPONENT + 1), "MAX_EXPONENT"),
+    (lambda r: TruncatedSeries(r, {(1,): 1}), "needs 2 entries"),
+    (lambda r: r.var("q"), "unknown variable 'q'"),
+    (lambda r: r.one().substitute("q", r.one()), "unknown variable 'q'"),
+    (lambda r: r.one().evaluate(q=1), "unknown variable 'q'"),
+    (lambda r: monomial_substitute(r.one(), r, {"q": {"y": 1}}), "unknown variable 'q'"),
+    (lambda r: monomial_substitute(r.one(), r, {"y": {"q": 1}}), "unknown variable 'q'"),
+    (lambda r: monomial_substitute(r.var("y", 20000), r, {"y": {"y": 2}}), "MAX_EXPONENT"),
+])
+def test_ring_boundary_refuses_what_a_key_cannot_hold(make, message):
+    with pytest.raises(ValueError, match=message):
+        make(SeriesRing(4, ("y",)))
+
+
+def test_monomial_substitute_checks_the_x_exponent():
+    ring = SeriesRing(4, ("y",))
+    s = ring.x() * ring.var("y", 2)
+    with pytest.raises(InvariantError):
+        monomial_substitute(s, ring, {"y": {"x": -1, "y": 1}})  # x y^2 -> x^-1 y^2
