@@ -13,7 +13,7 @@ class BoundExceededError(ValueError):
 
     def __init__(self, n: int, bound: int, what: str = "enumeration"):
         super().__init__(
-            f"{what} at n={n} refused: exceeds the configured bound {bound}"
+            f"{what} at n={n} refused: exceeds the bound {bound}"
         )
         self.n = n
         self.bound = bound

@@ -12,8 +12,8 @@ field and x above all m fields, so that multiplying monomials adds keys,
 keys sort by x-degree, and a key is kept when below the cap (N+1) << 16m.
 Each field holds 0..MAX_EXPONENT under a guard bit; a product that sets one
 raises InvariantError.  Tuples are packed and unpacked only at the ring
-boundary: the constructor, monomial, coefficient, evaluate, the
-substitutions and the renderers.
+boundary: the constructor, monomial, coefficient, the substitutions and
+the renderers.
 """
 
 from __future__ import annotations
@@ -368,20 +368,30 @@ class TruncatedSeries:
 
     def evaluate(self, **values: Coefficient) -> "TruncatedSeries":
         """Evaluate auxiliary variables at rationals, returning a series in
-        the ring on the remaining variables."""
+        the ring on the remaining variables.
+
+        Each value is normalised once, so integral values keep int
+        coefficients ints, and each power value**e is computed once; the
+        kept exponents move field by field into the target's packed keys.
+        """
         ring = self.ring
-        drop = [(1 + ring._index(name), Fraction(value)) for name, value in values.items()]
-        keep = [i for i, name in enumerate(ring.vars) if name not in values]
-        out: dict[tuple[int, ...], Coefficient] = {}
-        for k, v in self.terms.items():
-            exps = ring._unpack(k)
-            c = v
-            for pos, val in drop:
-                if exps[pos]:
-                    c = c * val ** exps[pos]
-            key = (exps[0],) + tuple(exps[1 + i] for i in keep)
+        drop = {ring._index(name): _norm(Fraction(value)) for name, value in values.items()}
+        keep = [i for i in range(len(ring.vars)) if i not in drop]
+        target = SeriesRing(ring.order, tuple(ring.vars[i] for i in keep))
+        moves = [(ring._shifts[i], shift) for i, shift in zip(keep, target._shifts)]
+        powers = [(ring._shifts[i], {0: 1}, value) for i, value in drop.items()]
+        out: dict[int, Coefficient] = {}
+        for k, c in self.terms.items():
+            key = k >> ring._x_shift << target._x_shift
+            for source, shift in moves:
+                key |= (k >> source & _MASK) << shift
+            for source, power, value in powers:
+                e = k >> source & _MASK
+                if e not in power:
+                    power[e] = value**e
+                c = c * power[e]
             out[key] = out.get(key, 0) + c
-        return TruncatedSeries(SeriesRing(ring.order, tuple(ring.vars[i] for i in keep)), out)
+        return _series(target, {k: _norm(v) for k, v in out.items() if v})
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Restrict to a lower truncation order."""
@@ -571,14 +581,28 @@ def fixed_point_solve(
     iteration from 1 at growing precision.
 
     The map must be a contraction: images of series agreeing to x-degree d
-    agree to degree d+1.  So iteration k keeps only the terms of x-degree
-    <= k, which are final, and order+1 iterations reach the fixed point.
-    Stabilization is verified by one full-order check that the result is
-    fixed; a non-contracting map raises InvariantError.
+    agree to degree d+1.  So iteration k runs in the ring of order k, where
+    every term of the image is final, and order+1 iterations reach the
+    fixed point.  The map must build its constants from ``f.ring``, the
+    ring of the iterate it is given, and return a series in that ring; a
+    series in another ring is refused with ValueError.  Stabilization is
+    verified by one full-order check that the result is fixed; a
+    non-contracting map raises InvariantError.
+
+    >>> ring = SeriesRing(5, ())
+    >>> f = fixed_point_solve(lambda f: f.ring.one() + f.ring.x() * f * f, ring)
+    >>> [f.coefficient(n, at={}) for n in range(6)]
+    [1, 1, 2, 5, 14, 42]
     """
     f = ring.one()
     for degree in range(ring.order + 1):
-        f = _series(ring, {k: v for k, v in mapping(f).terms.items() if k >> ring._x_shift <= degree})
+        # the iterate's keys are below degree << x_shift, so it lifts as it is
+        f = _series(SeriesRing(degree, ring.vars), f.terms)
+        image = mapping(f)
+        if image.ring != f.ring:
+            raise ValueError(f"the map returned a series in {image.ring}, not in {f.ring}: "
+                             "it must build its constants from f.ring")
+        f = image
     if mapping(f) != f:
         raise InvariantError("fixed-point iteration did not stabilize; map is not a contraction")
     return f
@@ -594,12 +618,17 @@ def continued_fraction(
 
     Every level must contribute positive x-degree (all b_i and c_i have
     x-valuation >= 1), so levels 0..order+1 are always enough: a deeper
-    tail cannot change the result.
+    tail cannot change the result.  For the same reason level i only needs
+    order max(order - i, 0): c_(i-1) shifts it up by at least one degree.
+    So each level runs in that ring, and the deeper level's value, of one
+    order less, is lifted into it as it is.
     """
     f = ring.one()
     for i in range(ring.order + 1, -1, -1):
         bi, ci = b(i), c(i)
         if (bi and bi.x_valuation() < 1) or (ci and ci.x_valuation() < 1):
             raise ValueError(f"level {i} has a term of x-degree 0")
-        f = (ring.one() + bi - ci * f).invert()
+        level = max(ring.order - i, 0)
+        f = _series(SeriesRing(level, ring.vars), f.terms)
+        f = (f.ring.one() + bi.truncate(level) - ci.truncate(level) * f).invert()
     return f

@@ -286,7 +286,7 @@ def test_table_ignores_bound_environment(capsys, monkeypatch):
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert out == ""
-    assert err == f"refused: oracle for S() at n=13 refused: exceeds the configured bound {ENUMERATION_BOUND}\n"
+    assert err == f"refused: oracle for S() at n=13 refused: exceeds the bound {ENUMERATION_BOUND}\n"
 
 
 def test_table_empty_subword_factor_is_usage(capsys):

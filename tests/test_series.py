@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from motzkinperm.errors import InvariantError
+from motzkinperm.genfun import inv_des_fix_gf
 from motzkinperm.paths import motzkin_number
 from motzkinperm.series import (
     MAX_EXPONENT,
@@ -232,14 +233,28 @@ def test_solve_quadratic_branch_mismatch():
 
 def test_fixed_point_geometric():
     ring = SeriesRing(7, ())
-    f = fixed_point_solve(lambda g: ring.one() + ring.x() * g, ring)
+    f = fixed_point_solve(lambda g: g.ring.one() + g.ring.x() * g, ring)
     assert f == (ring.one() - ring.x()).invert()
 
 
 def test_fixed_point_rejects_non_contraction():
     ring = SeriesRing(4, ())
     with pytest.raises(InvariantError):
-        fixed_point_solve(lambda g: g + ring.one(), ring)
+        fixed_point_solve(lambda g: g + g.ring.one(), ring)
+
+
+def test_fixed_point_refuses_a_series_outside_f_ring():
+    ring = SeriesRing(4, ())
+    with pytest.raises(ValueError, match="must build its constants from f.ring"):
+        fixed_point_solve(lambda g: ring.one(), ring)
+
+
+def test_fixed_point_refuses_full_ring_constants():
+    # iteration k runs at order k, so a constant of the outer ring cannot
+    # meet the iterate in one product
+    ring = SeriesRing(4, ())
+    with pytest.raises(ValueError, match="mismatched rings"):
+        fixed_point_solve(lambda g: ring.one() + ring.x() * g, ring)
 
 
 def test_continued_fraction_geometric():
@@ -256,6 +271,11 @@ def test_continued_fraction_depth_independent():
     c = lambda i: ring.x(2)
     f = continued_fraction(b, c, ring)
     assert [f.coefficient(n, at={}) for n in range(10)] == [motzkin_number(n) for n in range(10)]
+
+
+def test_continued_fraction_matches_the_recurrence_at_order_18():
+    # level i runs at order 18 - i, so a level order one too low shows here
+    assert inv_des_fix_gf(18, method="continued-fraction") == inv_des_fix_gf(18)
 
 
 def test_continued_fraction_rejects_constant_levels():
@@ -295,6 +315,16 @@ def test_evaluate_and_coefficient():
         s.coefficient(9)
     with pytest.raises(ValueError):
         s.coefficient(2, at={"t": 1})
+
+
+@pytest.mark.parametrize("values", [
+    {"y": 1, "z": 1}, {"y": Fraction(2), "w": 0}, {"y": -1, "z": Fraction(3), "w": 2},
+])
+def test_evaluate_at_integers_keeps_int_coefficients(values):
+    got = inv_des_fix_gf(8).evaluate(**values)
+    assert got.terms and all(type(c) is int for c in got.terms.values())
+    half = SeriesRing(3, ("y",)).monomial(Fraction(1, 2), 1, y=1)
+    assert type(half.coefficient(1, at={"y": 2})) is int
 
 
 def test_truncate():
@@ -378,6 +408,36 @@ def test_kernel_matches_tuple_keys(data):
     assert naive_mul(as_tuples(u), as_tuples(u.invert()), ring.order) == one
     root = u.sqrt()
     assert naive_mul(as_tuples(root), as_tuples(root), ring.order) == as_tuples(u)
+
+
+VALUES = st.one_of(st.just(0), st.integers(min_value=-3, max_value=3),
+                   st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+def naive_evaluate(terms, names, values):
+    """Tuple-keyed terms with the named variables set to values, keyed by
+    (x_degree, the exponents of the variables left)."""
+    keep = [i for i, name in enumerate(names) if name not in values]
+    out = {}
+    for (n, *exps), c in terms.items():
+        for name, e in zip(names, exps):
+            if name in values:
+                c = c * Fraction(values[name]) ** e
+        key = (n, *(exps[i] for i in keep))
+        out[key] = out.get(key, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_evaluate_matches_tuple_keys(data):
+    ring = data.draw(RINGS.filter(lambda r: r.vars))
+    terms = data.draw(tuple_terms(ring, 5))
+    names = data.draw(st.lists(st.sampled_from(ring.vars), min_size=1, unique=True))
+    values = {name: data.draw(VALUES) for name in names}
+    got = TruncatedSeries(ring, terms).evaluate(**values)
+    assert got.ring == SeriesRing(ring.order, tuple(v for v in ring.vars if v not in values))
+    assert as_tuples(got) == naive_evaluate(terms, ring.vars, values)
 
 
 def test_product_overflow_raises():
