@@ -422,7 +422,7 @@ def check_series_engine(trials: int = 40, seed: int = 7) -> list[str]:
         if qa * root * root + qb * root + one != ring.zero():
             failures.append("quadratic residual does not vanish")
 
-    geom = fixed_point_solve(lambda f: f.ring.one() + f.ring.x() * f, ring)
+    geom = fixed_point_solve(lambda f: one + ring.x() * f, ring)
     if geom != (one - ring.x()).invert():
         failures.append("fixed point of 1 + x f is not the geometric series")
     return failures

@@ -159,8 +159,24 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_eval(text: str) -> dict[str, Fraction]:
+    """``name=value,...`` as rationals; a repeated name or a zero
+    denominator is a usage error."""
+    assignments = {}
+    for part in text.split(","):
+        name, _, value = (s.strip() for s in part.partition("="))
+        if name in assignments:
+            raise ValueError(f"--eval assigns {name} twice")
+        try:
+            assignments[name] = Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"--eval {name}={value} has a zero denominator") from None
+    return assignments
+
+
 def _cmd_gf(args: argparse.Namespace) -> int:
     _refuse_large_order(args.order)
+    assignments = _parse_eval(args.eval) if args.eval else None
     if args.name == "cluster":
         if not args.factors:
             raise ValueError("gf --name cluster requires --S with the factor words")
@@ -173,11 +189,7 @@ def _cmd_gf(args: argparse.Namespace) -> int:
             f"unknown generating function {args.name!r}; choose from "
             f"{', '.join(sorted(GF_FUNCTIONS))}, cluster"
         )
-    if args.eval:
-        assignments = {}
-        for part in args.eval.split(","):
-            name, _, value = part.partition("=")
-            assignments[name.strip()] = Fraction(value.strip())
+    if assignments:
         series = series.evaluate(**assignments)
     if args.format == "json":
         payload = {str(n): series.format_coefficient(n) for n in range(series.ring.order + 1)}

@@ -67,11 +67,11 @@ def inv_des_fix_gf(order: int, method: str = "recurrence") -> TruncatedSeries:
     ring = SeriesRing(order, ("y", "z", "w"))
     if method == "recurrence":
         xy2 = {"x": {"x": 1, "y": 2}}
+        one, xw = ring.one(), ring.monomial(1, 1, w=1)
+        x2yz, x2yz2 = ring.monomial(1, 2, y=1, z=1), ring.monomial(1, 2, y=1, z=2)
 
         def phi(f: TruncatedSeries) -> TruncatedSeries:
-            r, one = f.ring, f.ring.one()
-            xw, x2yz, x2yz2 = r.monomial(1, 1, w=1), r.monomial(1, 2, y=1, z=1), r.monomial(1, 2, y=1, z=2)
-            return one + xw * f + x2yz * f + x2yz2 * (monomial_substitute(f, r, xy2) - one) * f
+            return one + xw * f + x2yz * f + x2yz2 * (monomial_substitute(f, ring, xy2) - one) * f
 
         return fixed_point_solve(phi, ring)
     if method == "continued-fraction":
@@ -171,10 +171,9 @@ def f312_via_t1t2(order: int) -> TruncatedSeries:
     UHD factors separately (variables t1, t2), then collapse t1 -> t,
     t2 -> 1/t; the reciprocal cancels because every UHD contains a UH."""
     ring = SeriesRing(order, ("t1", "t2", "z"))
+    x, t1, t2, z, one = ring.x(), ring.var("t1"), ring.var("t2"), ring.var("z"), ring.one()
 
     def phi(g: TruncatedSeries) -> TruncatedSeries:
-        r = g.ring
-        x, t1, t2, z, one = r.x(), r.var("t1"), r.var("t2"), r.var("z"), r.one()
         return (
             one
             + x * z * g
@@ -222,11 +221,10 @@ def coinv_des_gf(order: int) -> TruncatedSeries:
     """
     ring = SeriesRing(order, ("y", "z"))
     xy = {"x": {"x": 1, "y": 1}}
+    x, y, z, one = ring.x(), ring.var("y"), ring.var("z"), ring.one()
 
     def phi(f: TruncatedSeries) -> TruncatedSeries:
-        r = f.ring
-        x, y, z, one = r.x(), r.var("y"), r.var("z"), r.one()
-        fxy = monomial_substitute(f, r, xy)
+        fxy = monomial_substitute(f, ring, xy)
         return (
             one
             + x

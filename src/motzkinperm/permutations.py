@@ -19,10 +19,13 @@ from .errors import BoundExceededError
 #: Ceiling on n for every exhaustive enumerator; 12! is already half a
 #: billion.  It bounds n, not work: a walk of all of S_12 takes hours.
 ENUMERATION_BOUND = 12
-#: Ceiling for the series order of ``gf --N`` and ``verify --N``.  The
-#: slowest named series, ``inv_des_fix``, takes 2 s at order 22, 5.5-7 s at
-#: 24 and 10 s at 25 on a 2-CPU machine (Python 3.11); ``coinv_des`` is next.
-SERIES_ORDER_BOUND = 22
+#: Ceiling for the series order of ``gf --N`` and ``verify --N``: the largest
+#: order at which the slowest named series takes about 10 s.  ``gf --name
+#: inv_des_fix --N 30`` takes 10 s and ``verify genfun --N 30``, which adds
+#: the continued-fraction route and the path transfer matrix, 27 s on a
+#: 2-CPU machine (Python 3.11); ``coinv_des`` is next at 2 s.  Exponents
+#: stay far below ``series.MAX_EXPONENT``: inv and coinv are at most C(30, 2).
+SERIES_ORDER_BOUND = 30
 
 CycleForm = tuple[tuple[int, ...], ...]
 

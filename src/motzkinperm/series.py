@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import compress
 from operator import or_
 from typing import Callable, Collection, Mapping
@@ -444,6 +444,59 @@ def _series(ring: SeriesRing, terms: dict[int, Coefficient]) -> TruncatedSeries:
     return series
 
 
+class LazySeries:
+    """A series of ``ring`` whose x^n coefficient, a dict over packed
+    auxiliary keys, ``coeff(n)`` computes on request: a lifted constant, a
+    sum, a product or a rescale x -> x*m (``monomial_substitute``).  ``val``
+    is a lower bound of its x-valuation.  Only product operands keep their
+    coefficients; the rest recompute them."""
+
+    __slots__ = ("ring", "coeff", "val")
+
+    def __init__(self, ring: SeriesRing, coeff: Callable[[int], dict], val: int = 0):
+        self.ring, self.coeff, self.val = ring, coeff, val
+
+    def _lift(self, value) -> "LazySeries":
+        if isinstance(value, LazySeries):
+            return value
+        shift, groups = self.ring._x_shift, {}
+        for k, v in (self.ring.zero() + value).terms.items():
+            groups.setdefault(k >> shift, {})[k & ~(-1 << shift)] = v
+        return LazySeries(self.ring, lambda n: groups.get(n, {}), min(groups, default=self.ring.order + 1))
+
+    def __add__(self, other) -> "LazySeries":
+        ring, other = self.ring, self._lift(other)
+        return LazySeries(ring, lambda n: (_series(ring, self.coeff(n)) + _series(ring, other.coeff(n))).terms,
+                          min(self.val, other.val))
+
+    __radd__ = __add__
+    __sub__ = lambda self, other: self + -other
+    __rsub__ = lambda self, other: -self + other
+    __neg__ = lambda self: self * -1
+
+    def __mul__(self, other) -> "LazySeries":
+        """Pairs below either factor's valuation are skipped; each other pair
+        at degree n asks first for the factor coefficient of lower degree (on
+        the tie at degree 0, ``other``'s) and skips the pair when it is zero:
+        so x-valuation >= 1 keeps F_n off F_n.  Guard bits are checked as in
+        the eager product."""
+        a, b = self._lift(other), self
+        fa, fb = cache(a.coeff), cache(b.coeff)
+
+        def coeff(n):
+            acc = {}
+            for i in range(a.val, n - b.val + 1):
+                u = fa(i) if 2 * i <= n else fb(n - i)
+                v = u and (fb(n - i) if 2 * i <= n else fa(i))
+                if v:
+                    _subtract_products(acc, u.items(), v.items())
+            return self.ring._checked({k: _norm(-c) for k, c in acc.items() if c})
+
+        return LazySeries(self.ring, coeff, a.val + b.val)
+
+    __rmul__ = __mul__
+
+
 def format_poly(poly: Mapping[tuple[int, ...], Coefficient], vars: tuple[str, ...]) -> str:
     """Render an auxiliary-variable polynomial like ``2*y^2*z + y*z^2``."""
     if not poly:
@@ -469,10 +522,10 @@ def format_poly(poly: Mapping[tuple[int, ...], Coefficient], vars: tuple[str, ..
 
 
 def monomial_substitute(
-    series: TruncatedSeries,
+    series: "TruncatedSeries | LazySeries",
     target: SeriesRing,
     mapping: Mapping[str, Mapping[str, int]],
-) -> TruncatedSeries:
+) -> "TruncatedSeries | LazySeries":
     """Simultaneously replace variables by monomials, possibly with negative
     exponents (Laurent shifts), checking that every exponent in the result,
     that of x included, is non-negative.
@@ -482,6 +535,14 @@ def monomial_substitute(
     is raised if any term fails to.  The monomial substituted for x must
     contain x to a power >= 1 so truncation stays sound.
     """
+    if isinstance(series, LazySeries):  # the rescale x -> x*m alone, within the series' ring
+        m = mapping.get("x", {})
+        if (mapping.keys() != {"x"} or m.get("x") != 1 or not m.keys() <= {"x", *target.vars}
+                or target != series.ring or max(m.values()) * target.order > MAX_EXPONENT):
+            raise ValueError("a lazy series takes only a rescale x -> x*m within its ring, below MAX_EXPONENT")
+        step = target._pack((0, *(m.get(name, 0) for name in target.vars)))
+        return LazySeries(target, lambda n: target._checked({k + n * step: v for k, v in series.coeff(n).items()}),
+                          series.val)
     source = series.ring
     for name in set(mapping) - {"x"}:
         source._index(name)
@@ -575,36 +636,37 @@ def solve_quadratic(
 
 
 def fixed_point_solve(
-    mapping: Callable[[TruncatedSeries], TruncatedSeries], ring: SeriesRing
+    mapping: Callable[[LazySeries | TruncatedSeries], LazySeries | TruncatedSeries], ring: SeriesRing
 ) -> TruncatedSeries:
-    """Unique fixed point of an x-adically contracting self-map, reached by
-    iteration from 1 at growing precision.
+    """Unique fixed point F of an x-adically contracting self-map.
 
-    The map must be a contraction: images of series agreeing to x-degree d
-    agree to degree d+1.  So iteration k runs in the ring of order k, where
-    every term of the image is final, and order+1 iterations reach the
-    fixed point.  The map must build its constants from ``f.ring``, the
-    ring of the iterate it is given, and return a series in that ring; a
-    series in another ring is refused with ValueError.  Stabilization is
-    verified by one full-order check that the result is fixed; a
-    non-contracting map raises InvariantError.
+    The map is called once on a lazy unknown (``LazySeries``) whose x^n
+    coefficient is that of the image.  A contraction computes F_n from
+    F_0..F_(n-1) alone, each once; a map whose F_n needs F_n itself is not
+    a contraction and raises InvariantError.  The map may take its
+    constants from ``ring`` or from ``f.ring``.  The lazy graph is dropped
+    before one eager full-order check that the result is fixed.
 
     >>> ring = SeriesRing(5, ())
     >>> f = fixed_point_solve(lambda f: f.ring.one() + f.ring.x() * f * f, ring)
     >>> [f.coefficient(n, at={}) for n in range(6)]
     [1, 1, 2, 5, 14, 42]
     """
-    f = ring.one()
-    for degree in range(ring.order + 1):
-        # the iterate's keys are below degree << x_shift, so it lifts as it is
-        f = _series(SeriesRing(degree, ring.vars), f.terms)
-        image = mapping(f)
-        if image.ring != f.ring:
-            raise ValueError(f"the map returned a series in {image.ring}, not in {f.ring}: "
-                             "it must build its constants from f.ring")
-        f = image
+    known: dict[int, dict] = {}
+
+    def unknown(n: int) -> dict:
+        if n not in known:
+            raise InvariantError(f"F_{n} is needed before it is known; the map is not a contraction")
+        return known[n]
+
+    f = LazySeries(ring, unknown)
+    image = f._lift(mapping(f))
+    for n in range(ring.order + 1):
+        known[n] = image.coeff(n)
+    f = _series(ring, {k + (n << ring._x_shift): v for n, c in known.items() for k, v in c.items()})
+    del image, known  # drop the lazy graph and its coefficients before the check
     if mapping(f) != f:
-        raise InvariantError("fixed-point iteration did not stabilize; map is not a contraction")
+        raise InvariantError("the lazy solution is not fixed by the map; map is not a contraction")
     return f
 
 

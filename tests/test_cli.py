@@ -311,6 +311,14 @@ def test_gf_motzkin_totals(capsys):
     }
 
 
+@pytest.mark.parametrize("assignment, message", [("z=1/0", "zero denominator"), ("z=1,z=2", "assigns z twice")])
+def test_gf_eval_input_error_is_a_usage_error(capsys, assignment, message):
+    code, out, err = run(capsys, "gf", "--name", "weak_valley", "--N", "3", "--eval", assignment)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_gf_cluster(capsys):
     code, out, _ = run(
         capsys, "gf", "--name", "cluster", "--S", "HHH,HHU,DHH,DHU", "--N", "4"

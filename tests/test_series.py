@@ -243,18 +243,94 @@ def test_fixed_point_rejects_non_contraction():
         fixed_point_solve(lambda g: g + g.ring.one(), ring)
 
 
-def test_fixed_point_refuses_a_series_outside_f_ring():
-    ring = SeriesRing(4, ())
-    with pytest.raises(ValueError, match="must build its constants from f.ring"):
-        fixed_point_solve(lambda g: ring.one(), ring)
+def test_fixed_point_of_a_constant_map_is_its_constant():
+    ring = SeriesRing(4, ("y",))
+    c = ring.one() + ring.monomial(3, 2, y=1)
+    assert fixed_point_solve(lambda g: c, ring) == c
 
 
-def test_fixed_point_refuses_full_ring_constants():
-    # iteration k runs at order k, so a constant of the outer ring cannot
-    # meet the iterate in one product
+def test_fixed_point_takes_constants_of_the_outer_ring():
     ring = SeriesRing(4, ())
-    with pytest.raises(ValueError, match="mismatched rings"):
-        fixed_point_solve(lambda g: ring.one() + ring.x() * g, ring)
+    assert fixed_point_solve(lambda g: ring.one() + ring.x() * g, ring) == (ring.one() - ring.x()).invert()
+
+
+def test_fixed_point_is_independent_of_operand_order():
+    ring = SeriesRing(8, ())
+    x = ring.x()
+    catalan = fixed_point_solve(lambda g: ring.one() + x * g * g, ring)
+    assert fixed_point_solve(lambda g: ring.one() + g * (g * x), ring) == catalan
+    assert fixed_point_solve(lambda g: (g * x) * g + 1, ring) == catalan
+    # 1 + x g - 1 has a zero x^0 coefficient that its valuation bound (0)
+    # does not show, so the product must ask for it before g_n
+    assert fixed_point_solve(lambda g: g * (ring.one() + x * g - 1) + 1, ring) == catalan
+
+
+def test_fixed_point_through_a_sum_inside_a_product():
+    ring = SeriesRing(8, ())
+    x = ring.x()
+    fibonacci = (ring.one() - x - x * x).invert()
+    assert fixed_point_solve(lambda g: ring.one() + x * (g + x * g), ring) == fibonacci
+
+
+def test_fixed_point_checks_the_lazy_solution_at_full_order():
+    # a map that answers a lazy and an eager series differently: only the
+    # eager full-order check sees that the lazy solution is not fixed
+    ring = SeriesRing(4, ())
+    with pytest.raises(InvariantError, match="not fixed"):
+        fixed_point_solve(lambda g: ring.one() + ring.x() * (g if isinstance(g, TruncatedSeries) else g * 2), ring)
+
+
+def test_lazy_product_overflow_raises():
+    ring = SeriesRing(3, ("y",))
+    heavy = ring.monomial(1, 1, y=MAX_EXPONENT // 2 + 1)
+    calls = []
+
+    def phi(g):
+        calls.append(g)
+        return ring.one() + heavy * g * g
+
+    with pytest.raises(InvariantError, match="exceeds"):
+        fixed_point_solve(phi, ring)
+    assert len(calls) == 1  # raised by a lazy product, before the eager check
+
+
+def test_lazy_series_takes_only_a_rescale_of_x():
+    ring = SeriesRing(4, ("y",))
+    for mapping in ({"x": {"x": 2}}, {"y": {"y": 2}}, {"x": {"x": 1, "q": 1}}, {"x": {"x": 1, "y": MAX_EXPONENT}}):
+        with pytest.raises(ValueError, match="lazy series"):
+            fixed_point_solve(lambda g: ring.one() + ring.x() * monomial_substitute(g, ring, mapping), ring)
+
+
+AUX_RINGS = st.builds(
+    SeriesRing, st.integers(min_value=1, max_value=6),
+    st.sampled_from([("p",), ("p", "q"), ("p", "q", "r")]),
+)
+
+
+@st.composite
+def aux_poly(draw, ring):
+    """A polynomial in the auxiliary variables alone, as a series of ring."""
+    key = st.tuples(st.just(0), *[st.integers(min_value=0, max_value=2)] * len(ring.vars))
+    return TruncatedSeries(ring, draw(st.dictionaries(key, COEFFICIENTS, max_size=3)))
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_lazy_fixed_point_matches_the_quadratic_root(data):
+    ring = data.draw(AUX_RINGS)
+    a, b = data.draw(aux_poly(ring)), data.draw(aux_poly(ring))
+    x, one = ring.x(), ring.one()
+    f = fixed_point_solve(lambda g: one + x * a * g + x * x * b * g * g, ring)
+    assert f == solve_quadratic(x * x * b, x * a - one, one, 1)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_lazy_fixed_point_matches_the_inverse(data):
+    ring = data.draw(AUX_RINGS)
+    a = data.draw(aux_poly(ring))
+    x, one = ring.x(), ring.one()
+    assert fixed_point_solve(lambda g: one + x * a * g, ring) == (one - x * a).invert()
 
 
 def test_continued_fraction_geometric():
