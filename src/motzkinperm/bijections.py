@@ -20,12 +20,19 @@ Maps provided:
   that word and all labels zero, by reading tunnels in decreasing order
   of their left endpoint.
 
+Each forward map is one left-to-right sweep that keeps the same list as
+its inverse (the open runs for Gamma, the open cycles for Psi) and finds
+each crossing label by one binary search in it, so both directions run
+in near-linear time.  ``foata_inverse`` reads its domain off the cut at
+left-to-right minima instead of searching for patterns.
+
 ``CONSECUTIVE_OF_WINDOW`` translates every three-step window of a path
 into the consecutive pattern realized by the corresponding involution.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import InvariantError
@@ -33,7 +40,6 @@ from .paths import (
     DESCENT_FACTORS,
     LabeledMotzkinPath,
     LaguerreHistory,
-    BicoloredMotzkinWord,
     MotzkinWord,
     area,
     enumerate_labeled,
@@ -52,12 +58,9 @@ from .permutations import (
     fix_count,
     inv_count,
     is_involution,
-    run_anatomy,
     standard_cycles,
     validate_standard_cycles,
 )
-
-_ROLE_STEP = {"head": "U", "tail": "D", "head-tail": "H", "boarder": "T"}
 
 #: Patterns whose avoidance characterizes the image of ``foata``.
 VINCULAR_132 = PatternSpec.parse("1_32")
@@ -70,17 +73,37 @@ def perm_to_history(p: Permutation) -> LaguerreHistory:
     """History of a permutation: step i is the role of the value i, and the
     label of i counts runs straddling i whose tail precedes i in the word.
 
+    Values enter in increasing order, as in ``history_to_perm``, while the
+    head positions of the open runs (head entered, tail not yet) are kept
+    in word order.  A value is a head when it is first or follows a larger
+    letter, and a tail when it is last or precedes a smaller one.  The open
+    runs before its own run are exactly the runs it counts, so its label is
+    the index of its run's head in that list.
+
     >>> str(perm_to_history(Permutation.parse("826913547")))
     'UUTUDTDHD | l=0,0,1,2,1,0,1,0,0'
     """
-    anatomy = run_anatomy(p)
-    pos = {v: i for i, v in enumerate(p)}
-    steps = "".join(_ROLE_STEP[anatomy.roles[pos[v]]] for v in range(1, len(p) + 1))
-    bounds = [(run[0], run[-1]) for run in anatomy.runs]
-    labels = tuple(
-        sum(1 for s, t in bounds if s < i < t and pos[t] < pos[i]) for i in range(1, len(p) + 1)
-    )
-    return LaguerreHistory(BicoloredMotzkinWord(steps), labels)
+    n = len(p)
+    pos = [0] * (n + 1)
+    head_of = [0] * n
+    for k, v in enumerate(p):
+        pos[v] = k
+        head_of[k] = k if k == 0 or p[k - 1] > v else head_of[k - 1]
+    steps = []
+    labels = []
+    opened: list[int] = []
+    for v in range(1, n + 1):
+        k = pos[v]
+        head = head_of[k]
+        label = bisect_left(opened, head)
+        step = "TDUH"[2 * (head == k) + (k == n - 1 or p[k + 1] < v)]
+        if step == "U":
+            opened.insert(label, k)
+        elif step == "D":
+            del opened[label]
+        steps.append(step)
+        labels.append(label)
+    return LaguerreHistory("".join(steps), tuple(labels))
 
 
 def history_to_perm(h: LaguerreHistory) -> Permutation:
@@ -134,24 +157,24 @@ def foata_of(p: Permutation) -> Permutation:
 
 def foata_inverse(p: Permutation) -> CycleForm:
     """Cut the word before every left-to-right minimum and read the pieces
-    as cycles.  Defined exactly on the avoidance class of 1_32 and 1_23."""
-    for spec in (VINCULAR_132, VINCULAR_123):
-        if not avoids(p, spec):
-            raise ValueError(f"{p} contains the vincular pattern {spec}")
-    cycles: list[tuple[int, ...]] = []
-    current: list[int] = []
-    minimum = len(p) + 1
+    as cycles.  Defined exactly on the avoidance class of 1_32 and 1_23.
+
+    Each piece starts with its minimum, so two adjacent letters after it in
+    the piece, with that minimum before them, are an occurrence of 1_32 or
+    1_23; the word is in the class exactly when no piece has three letters.
+    """
+    cycles: list[list[int]] = []
     for v in p:
-        if v < minimum and current:
-            cycles.append(tuple(current))
-            current = []
-        minimum = min(minimum, v)
-        current.append(v)
-    if current:
-        cycles.append(tuple(current))
-    form = tuple(cycles)
-    validate_standard_cycles(form)
-    return form
+        if cycles and v > cycles[-1][0]:
+            cycles[-1].append(v)
+        else:
+            cycles.append([v])
+    long = [c for c in cycles if len(c) > 2]
+    if long:
+        descent = any(c[k] > c[k + 1] for c in long for k in range(1, len(c) - 1))
+        spec = VINCULAR_132 if descent else VINCULAR_123
+        raise ValueError(f"{p} contains the vincular pattern {spec}")
+    return tuple(map(tuple, cycles))
 
 
 def involution_to_path(p: Permutation) -> LabeledMotzkinPath:
@@ -159,24 +182,30 @@ def involution_to_path(p: Permutation) -> LabeledMotzkinPath:
     openers, D at cycle closers; a closer of (j, i) is labeled with the
     number of cycles (x, y) satisfying j < x < i < y.
 
+    The open openers are kept in increasing order, as in
+    ``path_to_involution``; those after j are the ones counted, and the
+    closer then removes j.
+
     >>> str(involution_to_path(Permutation.parse("65382174")))
     'UUHUD1D1HD0'
     """
     if not is_involution(p):
         raise ValueError(f"{p} is not an involution")
-    pairs = [(j, i) for i, j in ((i, p.image(i)) for i in range(1, len(p) + 1)) if j < i]
     steps = []
     labels = []
-    for i in range(1, len(p) + 1):
-        j = p.image(i)
+    opens: list[int] = []
+    for i, j in enumerate(p, start=1):
         if j == i:
             steps.append("H")
         elif j > i:
             steps.append("U")
+            opens.append(i)
         else:
             steps.append("D")
-            labels.append(sum(1 for x, y in pairs if j < x < i < y))
-    return LabeledMotzkinPath(MotzkinWord("".join(steps)), tuple(labels))
+            k = bisect_left(opens, j)
+            labels.append(len(opens) - 1 - k)
+            del opens[k]
+    return LabeledMotzkinPath("".join(steps), tuple(labels))
 
 
 def path_to_involution(m: LabeledMotzkinPath) -> Permutation:

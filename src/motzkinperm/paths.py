@@ -241,10 +241,13 @@ class LabeledMotzkinPath:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        word = MotzkinWord(self.word)
+        # one scan of a step string both validates it and gives the heights
+        steps = self.word if isinstance(self.word, str) else MotzkinWord(self.word)
+        heights = _scan_heights(steps, allow_second_color=False)
+        word = str.__new__(MotzkinWord, steps)
         object.__setattr__(self, "word", word)
         object.__setattr__(self, "labels", tuple(self.labels))
-        d_heights = [h for ch, h in zip(word, height_list(word)) if ch == "D"]
+        d_heights = [h for ch, h in zip(word, heights) if ch == "D"]
         if len(self.labels) != len(d_heights):
             raise ValueError(
                 f"expected {len(d_heights)} labels (one per D), got {len(self.labels)}"
@@ -313,10 +316,12 @@ class LaguerreHistory:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        word = BicoloredMotzkinWord(self.word)
+        # one scan of a step string both validates it and gives the heights
+        steps = self.word if isinstance(self.word, str) else BicoloredMotzkinWord(self.word)
+        heights = _scan_heights(steps, allow_second_color=True)
+        word = str.__new__(BicoloredMotzkinWord, steps)
         object.__setattr__(self, "word", word)
         object.__setattr__(self, "labels", tuple(self.labels))
-        heights = height_list(word)
         if len(self.labels) != len(word):
             raise ValueError(f"expected {len(word)} labels, got {len(self.labels)}")
         for i, (ch, label, h) in enumerate(zip(word, self.labels, heights), start=1):
@@ -363,7 +368,7 @@ def history_to_labeled(h: LaguerreHistory) -> LabeledMotzkinPath:
         if label > 0 and ch != "D":
             raise ValueError("history has a positive label on a non-D step")
     d_labels = tuple(label for ch, label in zip(h.word, h.labels) if ch == "D")
-    return LabeledMotzkinPath(MotzkinWord(str(h.word)), d_labels)
+    return LabeledMotzkinPath(str(h.word), d_labels)
 
 
 def labeled_to_history(m: LabeledMotzkinPath) -> LaguerreHistory:
@@ -371,7 +376,7 @@ def labeled_to_history(m: LabeledMotzkinPath) -> LaguerreHistory:
     it = iter(m.labels)
     for ch in m.word:
         labels.append(next(it) if ch == "D" else 0)
-    return LaguerreHistory(BicoloredMotzkinWord(str(m.word)), tuple(labels))
+    return LaguerreHistory(str(m.word), tuple(labels))
 
 
 def _words(n: int, alphabet: str) -> Iterator[str]:

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from motzkinperm.bijections import (
     CONSECUTIVE_OF_WINDOW,
+    VINCULAR_123,
+    VINCULAR_132,
     check_diagram,
     foata,
     foata_inverse,
@@ -32,6 +35,7 @@ from motzkinperm.permutations import (
     enumerate_permutations,
     identity,
     parse_cycles,
+    run_anatomy,
 )
 
 SPEC_3412 = PatternSpec.parse("3412")
@@ -211,3 +215,86 @@ def test_check_diagram_reports_injected_fault():
     report = check_diagram(4, path_map=broken)
     assert not report.ok
     assert any("commute" in f or "zero-label" in f for f in report.failures)
+
+
+ROLE_STEP = {"head": "U", "tail": "D", "head-tail": "H", "boarder": "T"}
+
+
+def brute_force_history(p):
+    """Steps from the run roles; the label of i counts, pair by pair, the
+    runs (s, t) with s < i < t whose tail t precedes i in the word."""
+    anatomy = run_anatomy(p)
+    pos = {v: i for i, v in enumerate(p)}
+    steps = "".join(ROLE_STEP[anatomy.roles[pos[v]]] for v in range(1, len(p) + 1))
+    bounds = [(run[0], run[-1]) for run in anatomy.runs]
+    labels = tuple(
+        sum(1 for s, t in bounds if s < i < t and pos[t] < pos[i]) for i in range(1, len(p) + 1)
+    )
+    return steps, labels
+
+
+def brute_force_path_labels(p):
+    """The label of each closer i of (j, i) counts, pair by pair, the
+    cycles (x, y) with j < x < i < y."""
+    pairs = [(j, i) for i, j in enumerate(p, start=1) if j < i]
+    return tuple(sum(1 for x, y in pairs if j < x < i < y) for j, i in sorted(pairs, key=lambda c: c[1]))
+
+
+perms_to_60 = st.integers(min_value=0, max_value=60).flatmap(
+    lambda n: st.permutations(list(range(1, n + 1)))
+)
+
+
+def pair_up(order, cycles):
+    """The involution whose 2-cycles pair the first 2 * cycles entries of
+    ``order`` two by two."""
+    word = list(range(1, len(order) + 1))
+    for a in range(cycles):
+        i, j = order[2 * a], order[2 * a + 1]
+        word[i - 1], word[j - 1] = j, i
+    return Permutation(word)
+
+
+@st.composite
+def involutions_to_60(draw):
+    order = draw(perms_to_60)
+    return pair_up(order, draw(st.integers(min_value=0, max_value=len(order) // 2)))
+
+
+@given(perms_to_60)
+def test_history_matches_brute_force(word):
+    p = Permutation(word)
+    h = perm_to_history(p)
+    assert (str(h.word), h.labels) == brute_force_history(p)
+
+
+@given(involutions_to_60())
+def test_path_matches_brute_force(p):
+    m = involution_to_path(p)
+    assert m.labels == brute_force_path_labels(p)
+    assert str(m.word) == "".join("H" if j == i else "U" if j > i else "D" for i, j in enumerate(p, 1))
+
+
+def test_foata_inverse_domain_exhaustive():
+    for n in range(9):
+        for p in enumerate_permutations(n):
+            has_132 = not avoids(p, VINCULAR_132)
+            in_class = not has_132 and avoids(p, VINCULAR_123)
+            try:
+                foata_inverse(p)
+            except ValueError as err:
+                assert not in_class, p
+                assert str(err) == f"{p} contains the vincular pattern {'1_32' if has_132 else '1_23'}"
+            else:
+                assert in_class, p
+
+
+def test_roundtrips_at_large_size():
+    rng = random.Random(2000)
+    word = list(range(1, 2001))
+    for _ in range(3):
+        rng.shuffle(word)
+        p = Permutation(word)
+        assert history_to_perm(perm_to_history(p)) == p
+        q = pair_up(rng.sample(word, len(word)), rng.randrange(1001))
+        assert path_to_involution(involution_to_path(q)) == q
