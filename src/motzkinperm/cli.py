@@ -180,8 +180,7 @@ def _cmd_gf(args: argparse.Namespace) -> int:
     if args.name == "cluster":
         if not args.factors:
             raise ValueError("gf --name cluster requires --S with the factor words")
-        words = tuple(w.strip() for w in args.factors.split(",") if w.strip())
-        series = cluster_count_gf(ClusterSpec(words), args.order)
+        series = cluster_count_gf(ClusterSpec.parse(args.factors), args.order)
     elif args.name in GF_FUNCTIONS:
         series = GF_FUNCTIONS[args.name](args.order)
     else:

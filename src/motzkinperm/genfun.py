@@ -1,6 +1,7 @@
 """Named generating functions over the two permutation classes, the
-generic cluster engine for counting Motzkin words by factor occurrences,
-and the brute-force distribution oracle behind ``table``.
+cluster engine counting Motzkin words by occurrences of any factor set
+with no word a proper factor of another, and the brute-force
+distribution oracle behind ``table``.
 
 Variable conventions: x always marks length.  Over 3412-avoiding
 involutions, y marks inversions, z marks descents (or, in the
@@ -16,6 +17,7 @@ matrix (``paths.path_series``) of the statistics it counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Callable, Iterator, Sequence
 
 from .errors import BoundExceededError
@@ -291,7 +293,7 @@ def f321_perm(order: int) -> TruncatedSeries:
 
 
 class ClusterError(ValueError):
-    """A cluster family violates the engine's preconditions."""
+    """A malformed factor set."""
 
 
 @dataclass(frozen=True)
@@ -321,140 +323,102 @@ class ClusterSpec:
         return cls(tuple(part.strip() for part in text.split(",") if part.strip()))
 
 
-@dataclass(frozen=True)
-class ClusterGFs:
-    """Cluster generating functions in (x, t, z) split by the letter the
-    cluster reduces to; the depth0 variants count only depth-0 clusters,
-    the plain ones count depth -1 and 0 together.  x marks length, t the
-    number of marked occurrences, z the number of H steps."""
-
-    up: TruncatedSeries
-    up_depth0: TruncatedSeries
-    down: TruncatedSeries
-    down_depth0: TruncatedSeries
-    horizontal: TruncatedSeries
-    horizontal_depth0: TruncatedSeries
-
-
 _STEP_DELTA = {"U": 1, "D": -1, "H": 0}
 
 
-def cluster_gfs(spec: ClusterSpec, order: int) -> ClusterGFs:
-    """Enumerate all clusters of length up to the truncation order by
-    dynamic programming over chains of overlapping marked occurrences.
+def _walk(y: int, low: int, letters: str) -> tuple[int, int]:
+    """The height and the least height so far after reading the letters."""
+    for ch in letters:
+        y += _STEP_DELTA[ch]
+        low = min(low, y)
+    return y, low
 
-    A cluster is grown one mark at a time: a new mark must start strictly
-    after the previous mark's start and no later than the current word
-    end; it may extend the word or sit inside it, but must agree with the
-    existing letters on the overlap.  Each reachable state is a complete
-    cluster.  Clusters that do not reduce to a single step, or reduce
-    with depth below -1, violate the engine's precondition and raise
-    ClusterError naming a witness.
+
+def cluster_gfs(spec: ClusterSpec, order: int) -> dict[tuple[int, int, int, int, int], int]:
+    """The cluster table: the number of clusters of length up to the
+    truncation order by (length, net height change, least height, marks,
+    H count), the least height taken from the start, so it is at most 0.
+
+    Clusters are enumerated by dynamic programming over chains of
+    overlapping marked occurrences.  A cluster is grown one mark at a time:
+    a new mark must start strictly after the previous mark's start and no
+    later than the current word end; it may extend the word or sit inside
+    it, but must agree with the existing letters on the overlap.  Each
+    reachable state is a complete cluster.
     """
     words = spec.words
     max_suffix = max(len(w) for w in words) - 1
-    # bucket key: (length, suffix length); node: (suffix, net, miny, marks, h)
-    buckets: dict[tuple[int, int], dict[tuple, tuple[int, str]]] = {}
+    # bucket key: (length, suffix length); node: (suffix, net, low, marks, h)
+    buckets: dict[tuple[int, int], dict[tuple, int]] = {}
 
-    def push(length, suffix, net, miny, marks, h, count, witness):
-        if length > order:
-            return
-        node = (suffix, net, miny, marks, h)
-        bucket = buckets.setdefault((length, len(suffix)), {})
-        if node in bucket:
-            prev_count, prev_witness = bucket[node]
-            bucket[node] = (prev_count + count, prev_witness)
-        else:
-            bucket[node] = (count, witness)
+    def push(length, suffix, net, low, marks, h, count):
+        if length <= order:
+            bucket = buckets.setdefault((length, len(suffix)), {})
+            node = (suffix, net, low, marks, h)
+            bucket[node] = bucket.get(node, 0) + count
 
     for w in words:
-        y = mn = 0
-        for ch in w:
-            y += _STEP_DELTA[ch]
-            mn = min(mn, y)
-        push(len(w), w[1:], y, mn, 1, w.count("H"), 1, w)
+        push(len(w), w[1:], *_walk(0, 0, w), 1, w.count("H"), 1)
 
-    tallies: dict[tuple[str, int], dict[tuple[int, int, int], int]] = {}
+    table: dict[tuple[int, int, int, int, int], int] = {}
     for length in range(1, order + 1):
         for slen in range(max_suffix, -1, -1):
-            bucket = buckets.pop((length, slen), None)
-            if not bucket:
-                continue
-            for (suffix, net, miny, marks, h), (count, witness) in bucket.items():
-                if net not in (-1, 0, 1):
-                    raise ClusterError(
-                        f"cluster {witness!r} does not reduce to a single step "
-                        f"(height change {net})"
-                    )
-                depth = miny + 1 if net == -1 else miny
-                if depth < -1:
-                    raise ClusterError(f"cluster {witness!r} has depth {depth} < -1")
-                letter = "U" if net == 1 else "D" if net == -1 else "H"
-                tally = tallies.setdefault((letter, depth), {})
-                key = (length, marks, h)
-                tally[key] = tally.get(key, 0) + count
+            for (suffix, net, low, marks, h), count in buckets.pop((length, slen), {}).items():
+                key = (length, net, low, marks, h)
+                table[key] = table.get(key, 0) + count
                 for v in words:
                     for p in range(slen):
                         avail = slen - p
                         overlap = min(len(v), avail)
                         if v[:overlap] != suffix[p : p + overlap]:
                             continue
-                        appended = v[avail:] if len(v) > avail else ""
-                        y = net
-                        mn = miny
-                        for ch in appended:
-                            y += _STEP_DELTA[ch]
-                            mn = min(mn, y)
+                        appended = v[avail:]
                         push(
                             length + len(appended),
                             v[1:] if appended else suffix[p + 1 :],
-                            y,
-                            mn,
+                            *_walk(net, low, appended),
                             marks + 1,
                             h + appended.count("H"),
                             count,
-                            witness + appended,
                         )
-
-    ring = _pattern_ring(order)
-
-    def build(letter: str, depths: tuple[int, ...]) -> TruncatedSeries:
-        total = ring.zero()
-        for depth in depths:
-            for (length, marks, h), count in tallies.get((letter, depth), {}).items():
-                total = total + ring.monomial(count, length, t=marks, z=h)
-        return total
-
-    return ClusterGFs(
-        up=build("U", (-1, 0)),
-        up_depth0=build("U", (0,)),
-        down=build("D", (-1, 0)),
-        down_depth0=build("D", (0,)),
-        horizontal=build("H", (-1, 0)),
-        horizontal_depth0=build("H", (0,)),
-    )
+    return table
 
 
 def cluster_count_gf(spec: ClusterSpec, order: int) -> TruncatedSeries:
     """Motzkin words by length (x), total occurrences of the factor set
-    (t), and number of H steps (z).
+    (t), and number of H steps (z), by the cluster method on paths.
 
-    Assembled from the cluster generating functions: with l, y, s the
-    step-or-cluster weights at positive height, primed at height zero,
-    the marked-word series is G = 1/(1 - l' - y' s' G_1) where G_1 solves
-    y s G_1^2 + (l - 1) G_1 + 1 = 0; substituting t -> t - 1 converts
-    marked-occurrence weights into plain occurrence counts.
+    A word with a marked subset of its occurrences, each mark weighing
+    t - 1, cuts uniquely into letters and clusters.  So the series is a
+    dynamic program over length and height whose steps are U, D, H and the
+    clusters, merged by (length, net, least height), one with k marks
+    weighing (t - 1)^k; a step is taken only where the path stays at or
+    above 0 inside it and can still return to 0 by the order.
     """
-    gfs = cluster_gfs(spec, order)
-    ring = _pattern_ring(order)
-    x, z, one = ring.x(), ring.var("z"), ring.one()
-    level = x * z + gfs.horizontal
-    level0 = x * z + gfs.horizontal_depth0
-    rise, rise0 = x + gfs.up, x + gfs.up_depth0
-    fall, fall0 = x + gfs.down, x + gfs.down_depth0
-    g1 = solve_quadratic(rise * fall, level - one, one, 1)
-    g = (one - level0 - rise0 * fall0 * g1).invert()
-    return g.substitute("t", ring.var("t") - one)
+    base = order + 1  # t^i z^j packed as i * base + j; no exponent passes the order
+    steps = {(1, 1, 0): {0: 1}, (1, -1, -1): {0: 1}, (1, 0, 0): {1: 1}}
+    for (length, net, low, marks, h), count in cluster_gfs(spec, order).items():
+        weight = steps.setdefault((length, net, low), {})
+        for i in range(marks + 1):
+            key = i * base + h
+            weight[key] = weight.get(key, 0) + count * comb(marks, i) * (-1) ** (marks - i)
+    # layers[n][y]: the paths of length n ending at height y
+    layers: list[dict[int, dict[int, int]]] = [{} for _ in range(order + 1)]
+    layers[0][0] = {0: 1}
+    terms = {}
+    for n, layer in enumerate(layers):
+        for key, c in layer.get(0, {}).items():
+            terms[(n, *divmod(key, base))] = c
+        for y, poly in layer.items():
+            for (length, net, low), weight in steps.items():
+                m, y2 = n + length, y + net
+                if y + low < 0 or y2 > order - m:
+                    continue
+                target = layers[m].setdefault(y2, {})
+                for k1, c1 in poly.items():
+                    for k2, c2 in weight.items():
+                        target[k1 + k2] = target.get(k1 + k2, 0) + c1 * c2
+    return TruncatedSeries(_pattern_ring(order), terms)
 
 
 #: The factor families realizing consecutive 123 and 132 over involutions.

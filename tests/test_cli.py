@@ -211,9 +211,16 @@ def test_verify_cluster_with_factors(capsys):
 
 
 def test_verify_cluster_rejects_invalid_family(capsys):
+    # U is a proper factor of HU: a usage error, as in gf --name cluster
+    code, out, err = run(capsys, "verify", "cluster", "--S", "HU,U", "--N", "6")
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
+def test_verify_cluster_accepts_multi_step_clusters(capsys):
     code, out, _ = run(capsys, "verify", "cluster", "--S", "UU", "--N", "6")
-    assert code == 1
-    assert "FAIL" in out
+    assert code == 0
+    assert out == "verify cluster UU: PASS\n"
 
 
 def test_verify_json_format(capsys):

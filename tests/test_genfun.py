@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, strategies as st
 
+from motzkinperm import checks
 from motzkinperm.genfun import (
     CLUSTER_123,
     CLUSTER_132,
@@ -23,7 +25,13 @@ from motzkinperm.genfun import (
     weak_valley_gf,
 )
 from motzkinperm.errors import BoundExceededError
-from motzkinperm.paths import enumerate_motzkin, motzkin_number, named_statistic, subword_count
+from motzkinperm.paths import (
+    enumerate_motzkin,
+    motzkin_number,
+    named_statistic,
+    path_series,
+    subword_count,
+)
 from motzkinperm.series import SeriesRing
 
 ORDER = 7
@@ -190,17 +198,23 @@ def test_cluster_closed_forms():
     one = ring.one()
     q = (one - x * z * t - x * x * z * z * t).invert()
 
-    gfs = cluster_gfs(CLUSTER_123, order)
-    assert gfs.horizontal_depth0 == x**3 * z**3 * t * q
-    common = x**3 * z * z * t * q
-    assert gfs.down == gfs.down_depth0 == gfs.up == gfs.up_depth0 == common
-    assert gfs.horizontal == x**3 * z * z * t * (z + x * t + x * x * t * z) * q + x**3 * t * z
+    def reduced(table, letter, *depths):
+        return checks._reduced_clusters(table, ring, letter, depths)
 
-    gfs = cluster_gfs(CLUSTER_132, order)
-    assert gfs.horizontal == x * x * t
-    assert gfs.horizontal_depth0.is_zero()
-    assert gfs.up == gfs.up_depth0 == x * x * t * z
-    assert gfs.down.is_zero() and gfs.down_depth0.is_zero()
+    table = cluster_gfs(CLUSTER_123, order)
+    assert reduced(table, "H", 0) == x**3 * z**3 * t * q
+    common = x**3 * z * z * t * q
+    assert reduced(table, "D", -1, 0) == reduced(table, "D", 0) == common
+    assert reduced(table, "U", -1, 0) == reduced(table, "U", 0) == common
+    assert reduced(table, "H", -1, 0) == (
+        x**3 * z * z * t * (z + x * t + x * x * t * z) * q + x**3 * t * z
+    )
+
+    table = cluster_gfs(CLUSTER_132, order)
+    assert reduced(table, "H", -1, 0) == x * x * t
+    assert reduced(table, "H", 0).is_zero()
+    assert reduced(table, "U", -1, 0) == reduced(table, "U", 0) == x * x * t * z
+    assert reduced(table, "D", -1, 0).is_zero() and reduced(table, "D", 0).is_zero()
 
 
 def test_cluster_route_equals_pattern_series():
@@ -219,11 +233,44 @@ def test_cluster_census_for_single_words():
             assert series.coefficient(n) == census
 
 
-def test_cluster_rejects_bad_families():
-    with pytest.raises(ClusterError):
-        cluster_count_gf(ClusterSpec(("UU",)), 6)  # reduces to a double step
-    with pytest.raises(ClusterError):
-        cluster_count_gf(ClusterSpec(("DDUU",)), 6)  # depth -2
+def _factor_census(words, n):
+    census = {}
+    for w in enumerate_motzkin(n):
+        key = (sum(subword_count(w, v) for v in words), w.count("H"))
+        census[key] = census.get(key, 0) + 1
+    return census
+
+
+def test_cluster_accepts_deep_and_multi_step_clusters():
+    # UU's clusters climb by more than one step and DDUU's dive to depth -2;
+    # HUU, DDH, DHD, UHU and HDD change the height by 2 and are clusters of
+    # the window families of 132, 213, 231, 312 and 321
+    families = [(w,) for w in ("UU", "DDUU", "HUU", "DDH", "DHD", "UHU", "HDD")]
+    families += [tuple(checks._windows(p)) for p in ("132", "213", "231", "312", "321")]
+    for words in families:
+        series = cluster_count_gf(ClusterSpec(words), 8)
+        for n in range(9):
+            assert series.coefficient(n) == _factor_census(words, n), (words, n)
+
+
+def _valid_spec(words):
+    try:
+        return ClusterSpec(tuple(words))
+    except ClusterError:
+        return None
+
+
+factor_sets = (
+    st.lists(st.text("UDH", min_size=1, max_size=4), min_size=1, max_size=3, unique=True)
+    .map(_valid_spec)
+    .filter(lambda spec: spec is not None)
+)
+
+
+@given(factor_sets)
+def test_cluster_series_equals_path_transfer_matrix(spec):
+    series = cluster_count_gf(spec, 8)
+    assert series == path_series(series.ring, checks._factor_occurrences(spec.words))
 
 
 def test_class_spec_parsing():
