@@ -422,7 +422,7 @@ def check_series_engine(trials: int = 40, seed: int = 7) -> list[str]:
         qa = random_series(min_val=1)
         qb = -one + random_series(min_val=1)
         try:
-            root = solve_quadratic(qa, qb, one, 1)
+            root = solve_quadratic(qa, qb, one)
         except ValueError:
             failures.append("quadratic solve refused a solvable instance")
             continue

@@ -113,7 +113,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if given[name] is not None and given[name] < 0:
             raise ValueError(f"{flag} must be non-negative, got {given[name]}")
     _refuse_large_order(args.order)
-    if args.suite == "cluster" and args.factors:
+    if args.suite == "cluster" and args.factors is not None:
         words = tuple(w.strip() for w in args.factors.split(",") if w.strip())
         kwargs = {k: given[k] for k in ("order", "nmax") if given[k] is not None}
         failures = checks.check_cluster_family(words, **kwargs)

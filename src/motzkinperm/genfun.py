@@ -100,7 +100,7 @@ def weak_valley_gf(order: int) -> TruncatedSeries:
     valley is an H or D step followed by an H or U step."""
     ring = SeriesRing(order, ("z",))
     x, z, one = ring.x(), ring.var("z"), ring.one()
-    return solve_quadratic(x * x * z, x * x - x * x * z + x * z - one, one + x - x * z, 1)
+    return solve_quadratic(x * x * z, x * x - x * x * z + x * z - one, one + x - x * z)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +155,7 @@ def f321_inv(order: int) -> TruncatedSeries:
         + x**4 * z * z
     )
     b = -ring.one() + x * z - x**3 * z * t - x * x * t * t + x * x + x**3 * z * t * t
-    return solve_quadratic(a, b, ring.one(), 1)
+    return solve_quadratic(a, b, ring.one())
 
 
 def f312_inv(order: int) -> TruncatedSeries:
@@ -165,7 +165,7 @@ def f312_inv(order: int) -> TruncatedSeries:
     x, t, z = ring.x(), ring.var("t"), ring.var("z")
     a = x**3 * z * t + x * x - x**3 * z
     b = x * z + x * x + x**3 * z - x**3 * z * t - x * x - ring.one()
-    return solve_quadratic(a, b, ring.one(), 1)
+    return solve_quadratic(a, b, ring.one())
 
 
 def f312_via_t1t2(order: int) -> TruncatedSeries:
@@ -254,14 +254,14 @@ def f213_perm(order: int) -> TruncatedSeries:
     consecutive 123; equivalently long tunnels of Motzkin paths."""
     ring = _perm_ring(order)
     x, t = ring.x(), ring.var("t")
-    return solve_quadratic(x * x * t, -ring.one() + x + x * x - x * x * t, ring.one(), 1)
+    return solve_quadratic(x * x * t, -ring.one() + x + x * x - x * x * t, ring.one())
 
 
 def f231_perm(order: int) -> TruncatedSeries:
     """Occurrences of consecutive 231; equivalently non-initial up steps."""
     ring = _perm_ring(order)
     x, t = ring.x(), ring.var("t")
-    ftt = solve_quadratic(x * x * t, -ring.one() + x, ring.one(), 1)
+    ftt = solve_quadratic(x * x * t, -ring.one() + x, ring.one())
     return ring.one() + x * ftt + x * x * ftt * ftt
 
 
@@ -270,7 +270,7 @@ def f312_perm(order: int) -> TruncatedSeries:
     ring = _perm_ring(order)
     x, t = ring.x(), ring.var("t")
     one = ring.one()
-    ftt = solve_quadratic(x * x, -one + x - x * x + x * x * t, one, 1)
+    ftt = solve_quadratic(x * x, -one + x - x * x + x * x * t, one)
     num = one - x * x * ftt + x * x - x * x * t
     den = one - x - x * x * ftt - x * x * t
     return num * den.invert()
@@ -282,7 +282,7 @@ def f321_perm(order: int) -> TruncatedSeries:
     ring = _perm_ring(order)
     x, t = ring.x(), ring.var("t")
     one = ring.one()
-    g = solve_quadratic(x * x, -one + x * t, one, 1)
+    g = solve_quadratic(x * x, -one + x * t, one)
     num = one - x * t - x * x * g + x - x * x * t + x * x - x**3 * t + x**3
     den = -x * x + one - x * t - x * x * g
     return num * den.invert()
@@ -442,6 +442,8 @@ class ClassSpec:
         if self.base not in ("S", "I", "M"):
             raise ValueError(f"unknown class base {self.base!r}")
         object.__setattr__(self, "patterns", tuple(self.patterns))
+        if self.base == "M" and self.patterns:
+            raise ValueError("the Motzkin class M takes no patterns")
 
     @classmethod
     def parse(cls, text: str) -> "ClassSpec":

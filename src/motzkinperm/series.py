@@ -576,63 +576,26 @@ def monomial_substitute(
     return _series(target, {k: _norm(v) for k, v in out.items() if v})
 
 
-def _rational_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    num, den = q.numerator, q.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
 def solve_quadratic(
-    a: TruncatedSeries,
-    b: TruncatedSeries,
-    c: TruncatedSeries | Coefficient,
-    f0: Coefficient,
+    a: TruncatedSeries, b: TruncatedSeries, c: TruncatedSeries | Coefficient
 ) -> TruncatedSeries:
-    """The power-series root F of a*F^2 + b*F + c = 0 with F(0) = f0.
+    """The power-series root F of a*F^2 + b*F + c = 0, for a of x-valuation
+    >= 1 and b with a nonzero constant term b0 free of auxiliary variables.
 
-    When a vanishes this is -c/b.  Otherwise the root is taken in the
-    conjugate form 2c / (-b -+ sqrt(b^2 - 4ac)) or, when a has an
-    invertible constant term, (-b +- sqrt) / (2a), choosing the branch
-    whose constant term matches f0.  b must have a nonzero constant term.
-    The residual is verified to vanish identically before returning.
+    F is the only root, the fixed point of the x-adic contraction
+    F = -(c + a*F^2 + (b - b0)*F)/b0, so F(0) = -c(0)/b0 and there is no
+    branch to choose.  The eager check that F is fixed is the residual
+    a*F^2 + b*F + c = 0 divided by -b0.  The Catalan series, C = 1 + x*C^2:
+
+    >>> ring = SeriesRing(5, ())
+    >>> f = solve_quadratic(ring.x(), ring.const(-1), 1)
+    >>> [f.coefficient(n, at={}) for n in range(6)]
+    [1, 1, 2, 5, 14, 42]
     """
-    ring = a.ring
-    if isinstance(c, (int, Fraction)):
-        c = ring.const(c)
-    f0 = _norm(Fraction(f0))
-    if a.is_zero():
-        root = (-c) * b.invert()
-        if root.constant_term() != f0:
-            raise ValueError(f"the root -c/b has constant term {root.constant_term()}, not {f0}")
-        return root
-    disc = b * b - a * c * 4
-    d0 = Fraction(disc.constant_term())
-    sigma0 = _rational_sqrt(d0)
-    if sigma0 is None or sigma0 == 0:
-        raise ValueError("discriminant constant term must be a nonzero rational square")
-    s = disc * (Fraction(1) / d0)
-    s = s.sqrt() * sigma0
-    candidates = []
-    for signed in (s, -s):
-        denom = -b - signed
-        if denom.constant_term() != 0 and not denom._has_auxiliary_constant():
-            candidates.append((c * 2) * denom.invert())
-    a0 = a.constant_term()
-    if a0 != 0 and not a._has_auxiliary_constant():
-        inv2a = (a * 2).invert()
-        for signed in (s, -s):
-            candidates.append((-b + signed) * inv2a)
-    for root in candidates:
-        if root.constant_term() == f0:
-            residual = a * root * root + b * root + c
-            if not residual.is_zero():
-                raise InvariantError("quadratic residual does not vanish")
-            return root
-    raise ValueError(f"no power-series branch with constant term {f0}")
+    b0 = b.constant_term()
+    if a.x_valuation() < 1 or b0 == 0 or b._has_auxiliary_constant():
+        raise ValueError("solve_quadratic needs a of x-valuation >= 1 and b(0) a nonzero rational")
+    return fixed_point_solve(lambda f: (f * f * a + f * (b - b0) + c) * Fraction(-1, b0), a.ring)
 
 
 def fixed_point_solve(

@@ -217,6 +217,14 @@ def test_verify_cluster_rejects_invalid_family(capsys):
     assert out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("factors", ["", ","])
+def test_verify_cluster_rejects_empty_family(capsys, factors):
+    # an empty --S is a factor set, not a request for the random-family suite
+    code, out, err = run(capsys, "verify", "cluster", "--S", factors, "--N", "6")
+    assert code == 2
+    assert out == "" and err == "error: empty factor set\n"
+
+
 def test_verify_cluster_accepts_multi_step_clusters(capsys):
     code, out, _ = run(capsys, "verify", "cluster", "--S", "UU", "--N", "6")
     assert code == 0
@@ -301,6 +309,15 @@ def test_table_empty_subword_factor_is_usage(capsys):
     assert code == 2
     assert out == ""
     assert "empty factor" in err
+
+
+def test_table_motzkin_class_takes_no_patterns(capsys):
+    code, out, err = run(capsys, "table", "--class", "M(3412)", "--stats", "peaks", "--n", "3")
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+    outputs = {run(capsys, "table", "--class", spec, "--stats", "peaks", "--n", "3")
+               for spec in ("M", "M()")}
+    assert len(outputs) == 1 and next(iter(outputs))[0] == 0
 
 
 def test_table_deterministic(capsys):

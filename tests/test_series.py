@@ -215,20 +215,36 @@ def test_t_shift_roundtrip(a):
 
 def test_solve_quadratic_catalan():
     ring = SeriesRing(8, ())
-    f = solve_quadratic(ring.x(2), ring.const(-1), 1, 1)
+    f = solve_quadratic(ring.x(2), ring.const(-1), 1)
     assert [f.coefficient(n, at={}) for n in range(9)] == [1, 0, 1, 0, 2, 0, 5, 0, 14]
 
 
 def test_solve_quadratic_linear_case():
     ring = SeriesRing(5, ())
-    f = solve_quadratic(ring.zero(), ring.const(-1) + ring.x(), ring.one(), 1)
+    f = solve_quadratic(ring.zero(), ring.const(-1) + ring.x(), ring.one())
     assert f == (ring.one() - ring.x()).invert()
 
 
-def test_solve_quadratic_branch_mismatch():
-    ring = SeriesRing(5, ())
-    with pytest.raises(ValueError):
-        solve_quadratic(ring.x(2), ring.const(-1), ring.one(), 7)
+def test_solve_quadratic_refuses_what_is_not_a_contraction():
+    ring = SeriesRing(5, ("t",))
+    one, x, t = ring.one(), ring.x(), ring.var("t")
+    for a, b in ((one + x, -one), (x, x), (x, -one + t)):
+        with pytest.raises(ValueError, match="solve_quadratic needs"):
+            solve_quadratic(a, b, one)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_solve_quadratic_residual_vanishes(data):
+    ring = data.draw(RINGS)
+    b0 = data.draw(st.sampled_from([1, -1, 2, Fraction(-3, 2)]))
+    a = TruncatedSeries(ring, data.draw(tuple_terms(ring, 2, min_x=1)))
+    b = ring.const(b0) + TruncatedSeries(ring, data.draw(tuple_terms(ring, 2, min_x=1)))
+    c = TruncatedSeries(ring, data.draw(tuple_terms(ring, 2)))
+    f = solve_quadratic(a, b, c)
+    assert a * f * f + b * f + c == ring.zero()
+    assert f.constant_term() == -c.constant_term() / b0
+    assert f.coefficient(0) == {e: -v / b0 for e, v in c.coefficient(0).items()}
 
 
 def test_fixed_point_geometric():
@@ -321,7 +337,7 @@ def test_lazy_fixed_point_matches_the_quadratic_root(data):
     a, b = data.draw(aux_poly(ring)), data.draw(aux_poly(ring))
     x, one = ring.x(), ring.one()
     f = fixed_point_solve(lambda g: one + x * a * g + x * x * b * g * g, ring)
-    assert f == solve_quadratic(x * x * b, x * a - one, one, 1)
+    assert f == solve_quadratic(x * x * b, x * a - one, one)
 
 
 @settings(max_examples=40)
