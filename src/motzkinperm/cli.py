@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import checks, genfun
+from . import checks
 from .bijections import (
     foata,
     foata_inverse,
@@ -30,22 +30,9 @@ from .genfun import ClassSpec, ClusterSpec, cluster_count_gf, distribution_oracl
 from .paths import LabeledMotzkinPath, LaguerreHistory, MotzkinWord
 from .permutations import SERIES_ORDER_BOUND, Permutation, format_cycles, parse_cycles
 
-GF_FUNCTIONS = {
-    "inv_des_fix": genfun.inv_des_fix_gf,
-    "weak_valley": genfun.weak_valley_gf,
-    "coinv_des": genfun.coinv_des_gf,
-    "f123_inv": genfun.f123_inv,
-    "f132_inv": genfun.f132_inv,
-    "f213_inv": genfun.f213_inv,
-    "f231_inv": genfun.f231_inv,
-    "f312_inv": genfun.f312_inv,
-    "f321_inv": genfun.f321_inv,
-    "f312_via_t1t2": genfun.f312_via_t1t2,
-    "f213_perm": genfun.f213_perm,
-    "f231_perm": genfun.f231_perm,
-    "f312_perm": genfun.f312_perm,
-    "f321_perm": genfun.f321_perm,
-}
+#: The named series, each with the path transfer matrix that ``verify genfun``
+#: checks it against.
+GF_FUNCTIONS = {name: route[0] for name, route in checks.PATH_ROUTES.items()}
 
 
 def _map_gamma(text: str):

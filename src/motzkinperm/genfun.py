@@ -73,7 +73,7 @@ def inv_des_fix_gf(order: int, method: str = "recurrence") -> TruncatedSeries:
         x2yz, x2yz2 = ring.monomial(1, 2, y=1, z=1), ring.monomial(1, 2, y=1, z=2)
 
         def phi(f: TruncatedSeries) -> TruncatedSeries:
-            return one + xw * f + x2yz * f + x2yz2 * (monomial_substitute(f, ring, xy2) - one) * f
+            return one + f * xw + f * x2yz + (monomial_substitute(f, ring, xy2) - one) * x2yz2 * f
 
         return fixed_point_solve(phi, ring)
     if method == "continued-fraction":
@@ -174,15 +174,16 @@ def f312_via_t1t2(order: int) -> TruncatedSeries:
     t2 -> 1/t; the reciprocal cancels because every UHD contains a UH."""
     ring = SeriesRing(order, ("t1", "t2", "z"))
     x, t1, t2, z, one = ring.x(), ring.var("t1"), ring.var("t2"), ring.var("z"), ring.one()
+    xz, x2, x3t1t2z, x3zt1 = x * z, x * x, x**3 * t1 * t2 * z, x**3 * z * t1
 
     def phi(g: TruncatedSeries) -> TruncatedSeries:
         return (
             one
-            + x * z * g
-            + x * x * g
-            + x**3 * t1 * t2 * z * g
-            + x**3 * z * t1 * g * (g - one)
-            + x * x * g * (g - x * z * g - one)
+            + g * xz
+            + g * x2
+            + g * x3t1t2z
+            + g * x3zt1 * (g - one)
+            + g * x2 * (g - g * xz - one)
         )
 
     g = fixed_point_solve(phi, ring)
@@ -224,17 +225,18 @@ def coinv_des_gf(order: int) -> TruncatedSeries:
     ring = SeriesRing(order, ("y", "z"))
     xy = {"x": {"x": 1, "y": 1}}
     x, y, z, one = ring.x(), ring.var("y"), ring.var("z"), ring.one()
+    xz, yx2, yzx2, yz2x2 = x * z, y * x * x, y * z * x * x, y * z * z * x * x
 
     def phi(f: TruncatedSeries) -> TruncatedSeries:
         fxy = monomial_substitute(f, ring, xy)
         return (
             one
             + x
-            + x * z * (f - one)
-            + y * x * x
-            + y * z * x * x * (f - one)
-            + y * z * x * x * (fxy - one)
-            + y * z * z * x * x * (fxy - one) * (f - one)
+            + (f - one) * xz
+            + yx2
+            + (f - one) * yzx2
+            + (fxy - one) * yzx2
+            + (fxy - one) * yz2x2 * (f - one)
         )
 
     return fixed_point_solve(phi, ring)
@@ -467,10 +469,8 @@ class ClassSpec:
     def members(self, n: int) -> Iterator:
         if self.base == "M":
             yield from enumerate_motzkin(n)
-        elif self.base == "I":
-            yield from enumerate_class(n, self.patterns, base="involutions")
         else:
-            yield from enumerate_class(n, self.patterns, base="all")
+            yield from enumerate_class(n, self.patterns, "involutions" if self.base == "I" else "all")
 
 
 _PERM_STATISTICS: dict[str, Callable[[Permutation], int]] = {

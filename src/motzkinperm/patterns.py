@@ -20,12 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BoundExceededError
-from .permutations import (
-    ENUMERATION_BOUND,
-    Permutation,
-    enumerate_involutions,
-)
+from .permutations import Permutation, _walk
 
 
 @dataclass(frozen=True)
@@ -197,39 +192,18 @@ def consecutive_occurrences(p: Permutation, t: Permutation) -> int:
 def enumerate_class(
     n: int, patterns: Iterable[PatternSpec], base: str = "all"
 ) -> Iterator[Permutation]:
-    """Members of the avoidance class, in lexicographic order.
+    """Members of the avoidance class within S_n (base="all") or within the
+    involutions of size n (base="involutions"), in lexicographic order.
 
-    base="all" walks a prefix tree of partial words, pruning as soon as an
-    occurrence of any pattern is completed, so classes far smaller than n!
-    are enumerated without touching all of S_n.  base="involutions"
-    filters the direct involution enumeration.
+    Both bases walk one prefix tree of partial words and prune a prefix as
+    soon as it completes an occurrence of any pattern, so a class far
+    smaller than its base is enumerated without touching all of the base.
     """
-    specs = tuple(patterns)
-    if base == "involutions":
-        for p in enumerate_involutions(n):
-            if avoids_all(p, specs):
-                yield p
-        return
-    if base != "all":
+    if base not in ("all", "involutions"):
         raise ValueError(f"unknown base {base!r}")
-    if n > ENUMERATION_BOUND:
-        raise BoundExceededError(n, ENUMERATION_BOUND, "class enumeration")
-
-    word: list[int] = []
-    used = [False] * (n + 1)
-
-    def place() -> Iterator[Permutation]:
-        if len(word) == n:
-            yield Permutation(word)
-            return
-        for v in range(1, n + 1):
-            if used[v]:
-                continue
-            word.append(v)
-            used[v] = True
-            if not any(_count(word, s, (len(word) - 1,), first=True) for s in specs):
-                yield from place()
-            word.pop()
-            used[v] = False
-
-    yield from place()
+    specs = tuple(patterns)
+    yield from _walk(
+        n,
+        base == "involutions",
+        lambda word: any(_count(word, s, (len(word) - 1,), first=True) for s in specs),
+    )

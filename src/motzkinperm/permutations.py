@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import BoundExceededError
 
@@ -246,25 +246,44 @@ def enumerate_permutations(n: int) -> Iterator[Permutation]:
 
 
 def enumerate_involutions(n: int) -> Iterator[Permutation]:
-    """All involutions of size n, generated directly by choosing, for the
-    least unplaced element, either a fixed point or a partner."""
-    if n > ENUMERATION_BOUND:
-        raise BoundExceededError(n, ENUMERATION_BOUND, "involution enumeration")
-    word = [0] * n
+    """All involutions of size n, in lexicographic order."""
+    yield from _walk(n, True, lambda word: False)
 
-    def fill(free: list[int]) -> Iterator[Permutation]:
-        if not free:
+
+def _walk(n: int, involutions: bool, prune: Callable[[list[int]], bool]) -> Iterator[Permutation]:
+    """The permutations of size n, or with ``involutions`` the involutions,
+    with no prefix that ``prune`` rejects, in lexicographic order.
+
+    Positions are filled left to right and each prefix is passed to
+    ``prune`` once, right after its last letter is placed.  An involution
+    whose position j < i holds i must hold j at position i; otherwise
+    position i takes i itself or a free value above it."""
+    if n > ENUMERATION_BOUND:
+        what = "involution enumeration" if involutions else "class enumeration"
+        raise BoundExceededError(n, ENUMERATION_BOUND, what)
+    word: list[int] = []
+    position = [0] * (n + 1)  # position[v] is where v stands, 0 while v is free
+
+    def place() -> Iterator[Permutation]:
+        i = len(word) + 1
+        if i > n:
             yield Permutation(word)
             return
-        i = free[0]
-        word[i - 1] = i
-        yield from fill(free[1:])
-        for k in range(1, len(free)):
-            j = free[k]
-            word[i - 1], word[j - 1] = j, i
-            yield from fill(free[1:k] + free[k + 1 :])
+        if involutions and position[i]:
+            choices: Iterable[int] = (position[i],)
+        else:
+            choices = range(i if involutions else 1, n + 1)
+        for v in choices:
+            if position[v]:
+                continue
+            word.append(v)
+            position[v] = i
+            if not prune(word):
+                yield from place()
+            word.pop()
+            position[v] = 0
 
-    yield from fill(list(range(1, n + 1)))
+    yield from place()
 
 
 def involution_number(n: int) -> int:

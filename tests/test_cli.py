@@ -120,6 +120,22 @@ def test_verify_refuses_all_permutation_suites_past_their_ceiling(capsys, suite)
     assert "refused" in err
 
 
+def test_verify_refuses_random_sets_past_their_ceiling_at_once(capsys):
+    # at the largest accepted --N and --nmax, 10 million families would take hours
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "verify", "cluster", "--random-sets", "10000000", "--N", str(SERIES_ORDER_BOUND),
+        "--nmax", str(ENUMERATION_BOUND),
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "refused: verify cluster --random-sets at n=10000000 refused: "
+        f"exceeds the bound {checks.RANDOM_SETS_BOUND}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

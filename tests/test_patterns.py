@@ -16,6 +16,7 @@ from motzkinperm.patterns import (
 from motzkinperm.permutations import (
     Permutation,
     ascending_runs,
+    enumerate_involutions,
     enumerate_permutations,
     reverse_complement,
 )
@@ -127,6 +128,12 @@ def test_enumerate_class_equals_filtered_permutations(texts):
     for n in range(8):
         expected = [p for p in enumerate_permutations(n) if avoids_all(p, specs)]
         assert list(enumerate_class(n, specs)) == expected
+
+
+@given(st.integers(min_value=0, max_value=8), st.lists(pattern_specs, max_size=3))
+def test_enumerate_involution_class_equals_filtered_involutions(n, specs):
+    expected = [p for p in enumerate_involutions(n) if avoids_all(p, specs)]
+    assert list(enumerate_class(n, specs, base="involutions")) == expected
 
 
 def test_avoids_examples():

@@ -160,6 +160,12 @@ def test_enumeration_counts():
     assert [involution_number(n) for n in range(9)] == [1, 1, 2, 4, 10, 26, 76, 232, 764]
 
 
+def test_enumerate_involutions_lists_the_involutions_of_s_n_in_order():
+    for n in range(9):
+        expected = [p for p in enumerate_permutations(n) if is_involution(p)]
+        assert list(enumerate_involutions(n)) == expected
+
+
 def test_enumeration_bound_refusal():
     # every enumerator starts at the one ceiling and refuses one past it;
     # the wrappers rely on the refusal of the enumerator they call

@@ -337,7 +337,8 @@ def test_lazy_fixed_point_matches_the_quadratic_root(data):
     a, b = data.draw(aux_poly(ring)), data.draw(aux_poly(ring))
     x, one = ring.x(), ring.one()
     f = fixed_point_solve(lambda g: one + x * a * g + x * x * b * g * g, ring)
-    assert f == solve_quadratic(x * x * b, x * a - one, one)
+    # the eager closed form of the root of x^2 b F^2 + (x a - 1) F + 1 = 0
+    assert f == (one - x * a + ((one - x * a) ** 2 - x * x * b * 4).sqrt()).invert() * 2
 
 
 @settings(max_examples=40)
