@@ -64,7 +64,7 @@ from .series import (
     TruncatedSeries,
     continued_fraction,
     fixed_point_solve,
-    monomial_substitute,
+    rescale_x,
     solve_quadratic,
 )
 from .genfun import (

@@ -68,6 +68,7 @@ from .paths import (
 from .patterns import PatternSpec, enumerate_class, occurrences
 from .permutations import (
     ENUMERATION_BOUND,
+    asc_count,
     coinv_count,
     des_count,
     enumerate_involutions,
@@ -150,7 +151,7 @@ def check_stat_transport(nmax: int = 10) -> list[str]:
                 transport_statistics(p)
             except InvariantError as exc:
                 failures.append(str(exc))
-            ascents.append(sum(1 for i in range(len(p) - 1) if p[i] < p[i + 1]))
+            ascents.append(asc_count(p))
         valleys = sorted(named_statistic(w, "weak_valleys") for w in enumerate_motzkin(n))
         if sorted(ascents) != valleys:
             failures.append(f"ascent / weak-valley distributions differ at n={n}")

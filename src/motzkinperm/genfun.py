@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterator, Sequence
 
-from .errors import BoundExceededError
+from .errors import BoundExceededError, InvariantError
 from .paths import (
     PATH_STATISTIC_NAMES,
     enumerate_motzkin,
@@ -42,7 +42,7 @@ from .series import (
     TruncatedSeries,
     continued_fraction,
     fixed_point_solve,
-    monomial_substitute,
+    rescale_x,
     solve_quadratic,
 )
 
@@ -68,12 +68,11 @@ def inv_des_fix_gf(order: int, method: str = "recurrence") -> TruncatedSeries:
     """
     ring = SeriesRing(order, ("y", "z", "w"))
     if method == "recurrence":
-        xy2 = {"x": {"x": 1, "y": 2}}
         one, xw = ring.one(), ring.monomial(1, 1, w=1)
         x2yz, x2yz2 = ring.monomial(1, 2, y=1, z=1), ring.monomial(1, 2, y=1, z=2)
 
         def phi(f: TruncatedSeries) -> TruncatedSeries:
-            return one + f * xw + f * x2yz + (monomial_substitute(f, ring, xy2) - one) * x2yz2 * f
+            return one + f * xw + f * x2yz + (rescale_x(f, y=2) - one) * x2yz2 * f
 
         return fixed_point_solve(phi, ring)
     if method == "continued-fraction":
@@ -171,7 +170,7 @@ def f312_inv(order: int) -> TruncatedSeries:
 def f312_via_t1t2(order: int) -> TruncatedSeries:
     """Second route to ``f312_inv``: solve the refinement counting UH and
     UHD factors separately (variables t1, t2), then collapse t1 -> t,
-    t2 -> 1/t; the reciprocal cancels because every UHD contains a UH."""
+    t2 -> 1/t with ``_collapse_t1t2``."""
     ring = SeriesRing(order, ("t1", "t2", "z"))
     x, t1, t2, z, one = ring.x(), ring.var("t1"), ring.var("t2"), ring.var("z"), ring.one()
     xz, x2, x3t1t2z, x3zt1 = x * z, x * x, x**3 * t1 * t2 * z, x**3 * z * t1
@@ -186,8 +185,19 @@ def f312_via_t1t2(order: int) -> TruncatedSeries:
             + g * x2 * (g - g * xz - one)
         )
 
-    g = fixed_point_solve(phi, ring)
-    return monomial_substitute(g, _pattern_ring(order), {"t1": {"t": 1}, "t2": {"t": -1}})
+    return _collapse_t1t2(fixed_point_solve(phi, ring))
+
+
+def _collapse_t1t2(g: TruncatedSeries) -> TruncatedSeries:
+    """g at t1 -> t, t2 -> 1/t.  Every UHD contains a UH, so no term has
+    more t2 than t1; one that has raises InvariantError."""
+    terms: dict[tuple[int, int, int], int] = {}
+    for k, c in g.terms.items():
+        n, e1, e2, ez = g.ring._unpack(k)
+        if e2 > e1:
+            raise InvariantError(f"x^{n} t1^{e1} t2^{e2}: a UHD without its UH")
+        terms[n, e1 - e2, ez] = terms.get((n, e1 - e2, ez), 0) + c
+    return TruncatedSeries(_pattern_ring(g.ring.order), terms)
 
 
 def f213_inv(order: int) -> TruncatedSeries:
@@ -223,12 +233,11 @@ def coinv_des_gf(order: int) -> TruncatedSeries:
     (OEIS A129181).
     """
     ring = SeriesRing(order, ("y", "z"))
-    xy = {"x": {"x": 1, "y": 1}}
     x, y, z, one = ring.x(), ring.var("y"), ring.var("z"), ring.one()
     xz, yx2, yzx2, yz2x2 = x * z, y * x * x, y * z * x * x, y * z * z * x * x
 
     def phi(f: TruncatedSeries) -> TruncatedSeries:
-        fxy = monomial_substitute(f, ring, xy)
+        fxy = rescale_x(f, y=1)
         return (
             one
             + x

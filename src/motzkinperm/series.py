@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import compress
 from operator import or_
 from typing import Callable, Collection, Mapping
 
@@ -343,11 +342,11 @@ class TruncatedSeries:
     def substitute(self, var: str, replacement: "TruncatedSeries | Coefficient") -> "TruncatedSeries":
         """Replace an auxiliary variable by a series in the same ring.
 
-        x is replaced only by monomials, through ``monomial_substitute``,
-        which remaps exponents instead of building powers of x.
+        x is only rescaled, x -> x*m, through ``rescale_x``, which shifts
+        exponents instead of building powers of x.
         """
         if var == "x":
-            raise ValueError("substitute x by a monomial with monomial_substitute")
+            raise ValueError("x is only rescaled, x -> x*m, with rescale_x")
         if isinstance(replacement, (int, Fraction)):
             replacement = self.ring.const(replacement)
         self._check(replacement)
@@ -447,7 +446,7 @@ def _series(ring: SeriesRing, terms: dict[int, Coefficient]) -> TruncatedSeries:
 class LazySeries:
     """A series of ``ring`` whose x^n coefficient, a dict over packed
     auxiliary keys, ``coeff(n)`` computes on request: a lifted constant, a
-    sum, a product or a rescale x -> x*m (``monomial_substitute``).  ``val``
+    sum, a product or a rescale x -> x*m (``rescale_x``).  ``val``
     is a lower bound of its x-valuation.  Only product operands keep their
     coefficients; the rest recompute them."""
 
@@ -521,59 +520,22 @@ def format_poly(poly: Mapping[tuple[int, ...], Coefficient], vars: tuple[str, ..
     return " ".join([first] + pieces[1:])
 
 
-def monomial_substitute(
-    series: "TruncatedSeries | LazySeries",
-    target: SeriesRing,
-    mapping: Mapping[str, Mapping[str, int]],
-) -> "TruncatedSeries | LazySeries":
-    """Simultaneously replace variables by monomials, possibly with negative
-    exponents (Laurent shifts), checking that every exponent in the result,
-    that of x included, is non-negative.
-
-    This is the one audited place where reciprocal substitutions such as
-    z -> 1/z are allowed; they must provably cancel, and an InvariantError
-    is raised if any term fails to.  The monomial substituted for x must
-    contain x to a power >= 1 so truncation stays sound.
-    """
-    if isinstance(series, LazySeries):  # the rescale x -> x*m alone, within the series' ring
-        m = mapping.get("x", {})
-        if (mapping.keys() != {"x"} or m.get("x") != 1 or not m.keys() <= {"x", *target.vars}
-                or target != series.ring or max(m.values()) * target.order > MAX_EXPONENT):
-            raise ValueError("a lazy series takes only a rescale x -> x*m within its ring, below MAX_EXPONENT")
-        step = target._pack((0, *(m.get(name, 0) for name in target.vars)))
-        return LazySeries(target, lambda n: target._checked({k + n * step: v for k, v in series.coeff(n).items()}),
+def rescale_x(series: "TruncatedSeries | LazySeries", **m: int) -> "TruncatedSeries | LazySeries":
+    """The rescale x -> x*m of an eager or lazy series, for m a monomial in
+    the auxiliary variables: each x^n term gains m^n, and no x-degree
+    changes.  An exponent of m^order past MAX_EXPONENT is refused, so a
+    term overflows only into its guard bit, which raises InvariantError."""
+    ring = series.ring
+    if max(m.values(), default=0) * ring.order > MAX_EXPONENT:
+        raise ValueError(f"rescale_x {m} passes MAX_EXPONENT = {MAX_EXPONENT} by x^{ring.order}")
+    for name in m:
+        ring._index(name)
+    step = ring._pack((0, *(m.get(name, 0) for name in ring.vars)))
+    if isinstance(series, LazySeries):
+        return LazySeries(ring, lambda n: ring._checked({k + n * step: v for k, v in series.coeff(n).items()}),
                           series.val)
-    source = series.ring
-    for name in set(mapping) - {"x"}:
-        source._index(name)
-    rows = []
-    for name in ("x",) + source.vars:
-        row = [0] * target.width
-        for out_name, e in mapping.get(name, {name: 1}).items():
-            row[0 if out_name == "x" else 1 + target._index(out_name)] += e
-        rows.append(row)
-    if rows[0][0] < 1:
-        raise ValueError("the image of x must contain x to a power >= 1")
-    # the exponents of all terms field by field, then those of their images
-    keys = list(series.terms)
-    columns = [[k >> source._x_shift for k in keys]] + [[k >> s & _MASK for k in keys] for s in source._shifts]
-    packed = [0] * len(keys)
-    for j, (name, shift) in enumerate(zip(("x",) + target.vars, (target._x_shift, *target._shifts))):
-        image = [0] * len(keys)
-        for column, row in zip(columns, rows):
-            if row[j]:
-                image = [a + row[j] * e for a, e in zip(image, column)]
-        if min(image, default=0) < 0:
-            raise InvariantError(f"Laurent substitution left a negative exponent of {name}")
-        if j == 0:
-            kept = [x <= target.order for x in image]
-        elif max(compress(image, kept), default=0) > MAX_EXPONENT:
-            raise ValueError(f"an exponent of {name} in the image is above MAX_EXPONENT = {MAX_EXPONENT}")
-        packed = [p + (e << shift) for p, e in zip(packed, image)]
-    out: dict[int, Coefficient] = {}
-    for k, v in compress(zip(packed, series.terms.values()), kept):
-        out[k] = out.get(k, 0) + v
-    return _series(target, {k: _norm(v) for k, v in out.items() if v})
+    shift = ring._x_shift
+    return _series(ring, ring._checked({k + (k >> shift) * step: v for k, v in series.terms.items()}))
 
 
 def solve_quadratic(

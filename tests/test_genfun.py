@@ -23,8 +23,9 @@ from motzkinperm.genfun import (
     f321_perm,
     inv_des_fix_gf,
     weak_valley_gf,
+    _collapse_t1t2,
 )
-from motzkinperm.errors import BoundExceededError
+from motzkinperm.errors import BoundExceededError, InvariantError
 from motzkinperm.paths import (
     enumerate_motzkin,
     motzkin_number,
@@ -100,6 +101,14 @@ def test_pattern_series_total_to_motzkin():
 
 def test_f312_routes_agree():
     assert f312_via_t1t2(ORDER) == f312_inv(ORDER)
+
+
+def test_t1t2_collapse_cancels_the_reciprocal_or_raises():
+    ring, target = SeriesRing(4, ("t1", "t2", "z")), SeriesRing(4, ("t", "z"))
+    g = ring.monomial(1, 3, t1=2, t2=1, z=1) + ring.monomial(2, 3, t1=1, z=1) + ring.monomial(1, 4, t1=1, t2=1)
+    assert _collapse_t1t2(g) == target.monomial(3, 3, t=1, z=1) + target.x(4)
+    with pytest.raises(InvariantError, match="UHD without its UH"):
+        _collapse_t1t2(g + ring.monomial(1, 3, t1=1, t2=2))
 
 
 def test_reverse_complement_series_identities():

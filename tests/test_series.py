@@ -15,7 +15,7 @@ from motzkinperm.series import (
     continued_fraction,
     fixed_point_solve,
     format_poly,
-    monomial_substitute,
+    rescale_x,
     solve_quadratic,
 )
 
@@ -192,7 +192,7 @@ def test_substitute_examples():
     ring = SeriesRing(6, ("y",))
     x, y = ring.x(), ring.var("y")
     geom = (ring.one() - x).invert()
-    twisted = monomial_substitute(geom, ring, {"x": {"x": 1, "y": 2}})
+    twisted = rescale_x(geom, y=2)
     assert twisted == (ring.one() - x * y * y).invert()
     assert twisted.coefficient(3) == {(6,): 1}
     shifted = (ring.one() + x * y).substitute("y", y - ring.one())
@@ -200,10 +200,18 @@ def test_substitute_examples():
 
 
 def test_substitute_for_x_needs_valuation():
-    with pytest.raises(ValueError):
-        monomial_substitute(RING.one(), RING, {"x": {"t": 1}})
-    with pytest.raises(ValueError, match="monomial_substitute"):
+    with pytest.raises(ValueError, match="rescale_x"):
         RING.one().substitute("x", RING.x())
+
+
+@settings(max_examples=40)
+@given(small_series(), st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
+def test_rescale_x_matches_termwise_reference(s, kt, kz):
+    expected = RING.zero()
+    for n in s.x_degrees():
+        for (et, ez), c in s.coefficient(n).items():
+            expected = expected + RING.monomial(c, n, t=et + kt * n, z=ez + kz * n)
+    assert rescale_x(s, t=kt, z=kz) == expected
 
 
 @settings(max_examples=40)
@@ -312,9 +320,17 @@ def test_lazy_product_overflow_raises():
 
 def test_lazy_series_takes_only_a_rescale_of_x():
     ring = SeriesRing(4, ("y",))
-    for mapping in ({"x": {"x": 2}}, {"y": {"y": 2}}, {"x": {"x": 1, "q": 1}}, {"x": {"x": 1, "y": MAX_EXPONENT}}):
-        with pytest.raises(ValueError, match="lazy series"):
-            fixed_point_solve(lambda g: ring.one() + ring.x() * monomial_substitute(g, ring, mapping), ring)
+    for m, message in (({"x": 1}, "unknown variable 'x'"), ({"q": 1}, "unknown variable 'q'"),
+                       ({"y": -1}, "negative"), ({"y": MAX_EXPONENT}, "MAX_EXPONENT")):
+        with pytest.raises(ValueError, match=message):
+            fixed_point_solve(lambda g: ring.one() + ring.x() * rescale_x(g, **m), ring)
+
+
+def test_lazy_rescale_solves_the_area_recurrence():
+    # F = 1 + x F(xy) gives F_(n+1) = y^n F_n, so F_n = y^C(n,2)
+    ring = SeriesRing(12, ("y",))
+    f = fixed_point_solve(lambda g: ring.one() + ring.x() * rescale_x(g, y=1), ring)
+    assert f == sum((ring.monomial(1, n, y=math.comb(n, 2)) for n in range(13)), ring.zero())
 
 
 AUX_RINGS = st.builds(
@@ -375,26 +391,6 @@ def test_continued_fraction_rejects_constant_levels():
     ring = SeriesRing(4, ())
     with pytest.raises(ValueError):
         continued_fraction(lambda i: ring.one(), lambda i: ring.zero(), ring)
-
-
-def test_monomial_substitute_laurent():
-    ring = SeriesRing(4, ("z",))
-    s = ring.one() + ring.monomial(1, 2, z=1) + ring.monomial(1, 2)
-    out = monomial_substitute(s, ring, {"x": {"x": 1, "z": 1}, "z": {"z": -1}})
-    assert out == ring.one() + ring.monomial(1, 2, z=1) + ring.monomial(1, 2, z=2)
-
-
-def test_monomial_substitute_detects_negative_exponent():
-    ring = SeriesRing(4, ("z",))
-    s = ring.var("z", 2) * ring.x()
-    with pytest.raises(InvariantError):
-        monomial_substitute(s, ring, {"z": {"z": -1}})  # z^2 -> z^-2
-
-
-def test_monomial_substitute_requires_x_power():
-    ring = SeriesRing(4, ("z",))
-    with pytest.raises(ValueError):
-        monomial_substitute(ring.x(), ring, {"x": {"z": 1}})
 
 
 def test_evaluate_and_coefficient():
@@ -576,9 +572,10 @@ def test_truncation_at_the_order():
     assert (ring.monomial(1, 3, y=MAX_EXPONENT) * ring.x(3)).is_zero()
     assert (ring.one() - ring.x()).invert().coefficient(5) == {(0,): 1}
     assert edge.truncate(4).is_zero()
-    # a term that substitution sends past the order is dropped unchecked
-    doubled = monomial_substitute(edge + ring.x(2), ring, {"x": {"x": 2}, "y": {"y": 2}})
-    assert doubled == ring.x(4)
+    # a rescale at the largest step the order allows, and one more unit at the order
+    assert rescale_x(ring.x(5), y=MAX_EXPONENT // 5) == ring.monomial(1, 5, y=MAX_EXPONENT // 5 * 5)
+    with pytest.raises(InvariantError, match="exceeds"):
+        rescale_x(edge, y=1)
 
 
 @pytest.mark.parametrize("make, message", [
@@ -589,17 +586,10 @@ def test_truncation_at_the_order():
     (lambda r: r.var("q"), "unknown variable 'q'"),
     (lambda r: r.one().substitute("q", r.one()), "unknown variable 'q'"),
     (lambda r: r.one().evaluate(q=1), "unknown variable 'q'"),
-    (lambda r: monomial_substitute(r.one(), r, {"q": {"y": 1}}), "unknown variable 'q'"),
-    (lambda r: monomial_substitute(r.one(), r, {"y": {"q": 1}}), "unknown variable 'q'"),
-    (lambda r: monomial_substitute(r.var("y", 20000), r, {"y": {"y": 2}}), "MAX_EXPONENT"),
+    (lambda r: rescale_x(r.one(), q=1), "unknown variable 'q'"),
+    (lambda r: rescale_x(r.one(), y=MAX_EXPONENT // 4 + 1), "MAX_EXPONENT"),
+    (lambda r: rescale_x(r.one(), y=-1), "negative"),
 ])
 def test_ring_boundary_refuses_what_a_key_cannot_hold(make, message):
     with pytest.raises(ValueError, match=message):
         make(SeriesRing(4, ("y",)))
-
-
-def test_monomial_substitute_checks_the_x_exponent():
-    ring = SeriesRing(4, ("y",))
-    s = ring.x() * ring.var("y", 2)
-    with pytest.raises(InvariantError):
-        monomial_substitute(s, ring, {"y": {"x": -1, "y": 1}})  # x y^2 -> x^-1 y^2
