@@ -23,10 +23,12 @@ def census(words, n):
 
 
 print("A cluster is a word covered by a chain of overlapping marked")
-print("occurrences of the factor set.  The engine tables the clusters by")
-print("dynamic programming, then counts paths whose steps are the letters")
-print("U, D, H and the clusters, a cluster with k marks weighing (t-1)^k,")
-print("by a second dynamic program over length and height.")
+print("occurrences of the factor set.  The engine grows the clusters one")
+print("mark at a time as Goulden-Jackson overlap chains: a mark on v follows")
+print("a mark on u when a proper suffix of u is a proper prefix of v.  It")
+print("then counts paths whose steps are the letters U, D, H and the")
+print("clusters, a cluster with k marks weighing (t-1)^k, by a dynamic")
+print("program over length and height.")
 print()
 
 print(f"Factor set {CLUSTER_123.words} (consecutive 123 over involutions):")

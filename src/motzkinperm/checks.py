@@ -51,6 +51,7 @@ from .genfun import (
     weak_valley_gf,
 )
 from .paths import (
+    _DELTA,
     DESCENT_FACTORS,
     WEAK_VALLEY_FACTORS,
     MotzkinWord,
@@ -85,8 +86,9 @@ from .series import SeriesRing, TruncatedSeries, fixed_point_solve, solve_quadra
 ALL_PERMUTATIONS_BOUND = 9
 #: Ceiling on the random factor families of the cluster suite: about 10 s at
 #: the largest order and nmax it accepts.  ``check_cluster_engine(order=30,
-#: nmax=12, random_sets=2500)`` took 9.1 s on a 2-CPU machine (Python 3.11),
-#: 0.8 s of it with no family, so about 3.3 ms per family.
+#: nmax=12, random_sets=2500)`` took 9.0-10.9 s (median 10.1 s of four runs)
+#: on a 2-CPU machine (Python 3.11), about 1 s of it with no family, so
+#: about 3.7 ms per family.
 RANDOM_SETS_BOUND = 2500
 
 
@@ -313,7 +315,7 @@ def _reduced_clusters(
     ``letter`` (net height change +1 for U, -1 for D, 0 for H) with depth in
     ``depths``, as a series in (x, t, z).  The depth of a cluster is its
     least height, plus one for D."""
-    net = {"U": 1, "D": -1, "H": 0}[letter]
+    net = _DELTA[letter]
     terms: dict[tuple[int, int, int], int] = {}
     for (length, d, low, marks, h), count in table.items():
         if d == net and low + (net == -1) in depths:

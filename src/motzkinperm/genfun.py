@@ -1,7 +1,8 @@
 """Named generating functions over the two permutation classes, the
 cluster engine counting Motzkin words by occurrences of any factor set
-with no word a proper factor of another, and the brute-force
-distribution oracle behind ``table``.
+with no word a proper factor of another, its clusters grown as
+Goulden-Jackson overlap chains, and the brute-force distribution oracle
+behind ``table``.
 
 Variable conventions: x always marks length.  Over 3412-avoiding
 involutions, y marks inversions, z marks descents (or, in the
@@ -22,6 +23,7 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import BoundExceededError, InvariantError
 from .paths import (
+    _DELTA,
     PATH_STATISTIC_NAMES,
     enumerate_motzkin,
     named_statistic,
@@ -310,7 +312,7 @@ class ClusterError(ValueError):
 @dataclass(frozen=True)
 class ClusterSpec:
     """A finite factor set over {U, D, H} with no word a proper factor of
-    another."""
+    another: what makes every following mark of a cluster extend it."""
 
     words: tuple[str, ...]
 
@@ -334,13 +336,11 @@ class ClusterSpec:
         return cls(tuple(part.strip() for part in text.split(",") if part.strip()))
 
 
-_STEP_DELTA = {"U": 1, "D": -1, "H": 0}
-
-
-def _walk(y: int, low: int, letters: str) -> tuple[int, int]:
-    """The height and the least height so far after reading the letters."""
+def _net_and_low(letters: str) -> tuple[int, int]:
+    """The net height change and the least height, from 0, of the letters."""
+    y = low = 0
     for ch in letters:
-        y += _STEP_DELTA[ch]
+        y += _DELTA[ch]
         low = min(low, y)
     return y, low
 
@@ -350,48 +350,35 @@ def cluster_gfs(spec: ClusterSpec, order: int) -> dict[tuple[int, int, int, int,
     truncation order by (length, net height change, least height, marks,
     H count), the least height taken from the start, so it is at most 0.
 
-    Clusters are enumerated by dynamic programming over chains of
-    overlapping marked occurrences.  A cluster is grown one mark at a time:
-    a new mark must start strictly after the previous mark's start and no
-    later than the current word end; it may extend the word or sit inside
-    it, but must agree with the existing letters on the overlap.  Each
-    reachable state is a complete cluster.
+    A cluster is a Goulden-Jackson overlap chain: marked factor occurrences
+    covering the word, each starting before the previous one ends.  As no
+    factor is a factor of another, every following mark extends the
+    cluster: a mark on v follows one on u exactly when a proper suffix of u
+    is a proper prefix of v.  Clusters grow one mark at a time, one dict
+    per length, each node keeping its last factor.
+
+    >>> cluster_gfs(ClusterSpec(("HH",)), 4)
+    {(2, 0, 0, 1, 2): 1, (3, 0, 0, 2, 3): 1, (4, 0, 0, 3, 4): 1}
     """
     words = spec.words
-    max_suffix = max(len(w) for w in words) - 1
-    # bucket key: (length, suffix length); node: (suffix, net, low, marks, h)
-    buckets: dict[tuple[int, int], dict[tuple, int]] = {}
-
-    def push(length, suffix, net, low, marks, h, count):
-        if length <= order:
-            bucket = buckets.setdefault((length, len(suffix)), {})
-            node = (suffix, net, low, marks, h)
-            bucket[node] = bucket.get(node, 0) + count
-
+    # followers[u]: v, then length, net, least height and H count of v past the overlap
+    followers = {u: [(v, len(v) - k, *_net_and_low(v[k:]), v[k:].count("H"))
+                     for v in words for k in range(1, min(len(u), len(v))) if u[-k:] == v[:k]]
+                 for u in words}
+    # layers[length]: node (last factor, net, low, marks, h) -> number of clusters
+    layers: list[dict[tuple[str, int, int, int, int], int]] = [{} for _ in range(order + 1)]
     for w in words:
-        push(len(w), w[1:], *_walk(0, 0, w), 1, w.count("H"), 1)
-
+        if len(w) <= order:
+            layers[len(w)][(w, *_net_and_low(w), 1, w.count("H"))] = 1
     table: dict[tuple[int, int, int, int, int], int] = {}
-    for length in range(1, order + 1):
-        for slen in range(max_suffix, -1, -1):
-            for (suffix, net, low, marks, h), count in buckets.pop((length, slen), {}).items():
-                key = (length, net, low, marks, h)
-                table[key] = table.get(key, 0) + count
-                for v in words:
-                    for p in range(slen):
-                        avail = slen - p
-                        overlap = min(len(v), avail)
-                        if v[:overlap] != suffix[p : p + overlap]:
-                            continue
-                        appended = v[avail:]
-                        push(
-                            length + len(appended),
-                            v[1:] if appended else suffix[p + 1 :],
-                            *_walk(net, low, appended),
-                            marks + 1,
-                            h + appended.count("H"),
-                            count,
-                        )
+    for length, layer in enumerate(layers):
+        for (u, net, low, marks, h), count in layer.items():
+            key = (length, net, low, marks, h)
+            table[key] = table.get(key, 0) + count
+            for v, added, piece_net, piece_low, piece_h in followers[u]:
+                if length + added <= order:
+                    node = (v, net + piece_net, min(low, net + piece_low), marks + 1, h + piece_h)
+                    layers[length + added][node] = layers[length + added].get(node, 0) + count
     return table
 
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import add
-from typing import Callable, Hashable, Iterator, NamedTuple
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
 from .errors import BoundExceededError
-from .permutations import ENUMERATION_BOUND
+from .permutations import ENUMERATION_BOUND, _parse_ints
 from .series import SeriesRing, TruncatedSeries
 
 _DELTA = {"U": 1, "D": -1, "H": 0, "T": 0}
@@ -52,7 +52,8 @@ def _scan_heights(steps: str, allow_second_color: bool) -> tuple[int, ...]:
 class BicoloredMotzkinWord(str):
     """Step word over {U, D, H, T}; T is the second horizontal color."""
 
-    def __new__(cls, steps: str) -> "BicoloredMotzkinWord":
+    def __new__(cls, steps: str | Iterable[str]) -> "BicoloredMotzkinWord":
+        steps = steps if isinstance(steps, str) else "".join(steps)
         _scan_heights(steps, allow_second_color=True)
         return super().__new__(cls, steps)
 
@@ -64,7 +65,8 @@ class BicoloredMotzkinWord(str):
 class MotzkinWord(BicoloredMotzkinWord):
     """Plain Motzkin word over {U, D, H}."""
 
-    def __new__(cls, steps: str) -> "MotzkinWord":
+    def __new__(cls, steps: str | Iterable[str]) -> "MotzkinWord":
+        steps = steps if isinstance(steps, str) else "".join(steps)
         _scan_heights(steps, allow_second_color=False)
         return str.__new__(cls, steps)
 
@@ -282,7 +284,7 @@ class LabeledMotzkinPath:
             i += 1
             if ch == "D":
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j].isdecimal():
                     j += 1
                 labels.append(int(text[i:j]) if j > i else 0)
                 i = j
@@ -348,7 +350,7 @@ class LaguerreHistory:
         label_part = label_part.strip()
         if label_part.startswith("l="):
             label_part = label_part[2:]
-        labels = tuple(int(v) for v in label_part.split(",") if v != "") if label_part else ()
+        labels = _parse_ints((v for v in label_part.split(",") if v != ""), "history", text.strip())
         return cls(word, labels)
 
     def to_json_dict(self) -> dict:

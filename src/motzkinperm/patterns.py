@@ -74,13 +74,13 @@ class PatternSpec:
         if not text:
             raise ValueError("empty pattern")
         if "_" not in text:
-            if not text.isdigit():
+            if not text.isdecimal():
                 raise ValueError(f"cannot parse pattern from {text!r}")
             return cls.classical(int(ch) for ch in text)
         blocks = text.split("_")
         if blocks[0] == "":
             blocks = blocks[1:]
-        if not blocks or any(not b.isdigit() for b in blocks):
+        if not blocks or any(not b.isdecimal() for b in blocks):
             raise ValueError(f"cannot parse pattern from {text!r}")
         letters: list[int] = []
         adjacency: set[int] = set()

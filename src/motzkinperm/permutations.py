@@ -58,13 +58,8 @@ class Permutation(tuple):
         """Parse space-separated values; a compact digit string is accepted
         for n <= 9 ("826913547")."""
         text = text.strip()
-        if not text:
-            return cls(())
-        if any(ch in text for ch in " ,"):
-            return cls(int(part) for part in text.replace(",", " ").split())
-        if not text.isdigit():
-            raise ValueError(f"cannot parse permutation from {text!r}")
-        return cls(int(ch) for ch in text)
+        parts = text.replace(",", " ").split() if any(ch in text for ch in " ,") else text
+        return cls(_parse_ints(parts, "permutation", text))
 
     def __str__(self) -> str:
         return " ".join(str(v) for v in self)
@@ -185,7 +180,16 @@ def parse_cycles(text: str) -> CycleForm:
     if not (text.startswith("(") and text.endswith(")")):
         raise ValueError(f"cannot parse cycle form from {text!r}")
     parts = text[1:-1].split(")(")
-    return tuple(tuple(int(v) for v in part.split(",")) for part in parts)
+    return tuple(_parse_ints(part.split(","), "cycle form", text) for part in parts)
+
+
+def _parse_ints(parts: Iterable[str], what: str, text: str) -> tuple[int, ...]:
+    """The parts as integers; a part that is not one raises a ValueError
+    naming the whole input."""
+    try:
+        return tuple(int(part) for part in parts)
+    except ValueError:
+        raise ValueError(f"cannot parse {what} from {text!r}") from None
 
 
 ROLE_HEAD = "head"

@@ -79,9 +79,17 @@ def test_map_json_format(capsys):
 
 
 def test_map_parse_error_is_usage(capsys):
-    code, _, err = run(capsys, "map", "--via", "gamma", "not a permutation")
-    assert code == 2
-    assert "error" in err
+    for via, text, message in [
+        ("gamma", "not a permutation", "cannot parse permutation from 'not a permutation'"),
+        ("gamma", "1,x", "cannot parse permutation from '1,x'"),
+        ("gamma", "²", "cannot parse permutation from '²'"),
+        ("psi-inv", "UD²", "invalid step '²' at position 3 in 'UD²'"),
+        ("foata", "(1,)", "cannot parse cycle form from '(1,)'"),
+        ("foata", "()", "cannot parse cycle form from '()'"),
+        ("gamma-inv", "UD | l=0,x", "cannot parse history from 'UD | l=0,x'"),
+    ]:
+        code, _, err = run(capsys, "map", "--via", via, text)
+        assert (code, err) == (2, f"error: {message}\n"), text
 
 
 def test_map_non_involution_is_usage(capsys):

@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from motzkinperm import checks
 from motzkinperm.genfun import (
@@ -280,6 +282,50 @@ factor_sets = (
 def test_cluster_series_equals_path_transfer_matrix(spec):
     series = cluster_count_gf(spec, 8)
     assert series == path_series(series.ring, checks._factor_occurrences(spec.words))
+
+
+_CLUSTER_ORDER = 7
+_SHORT_WORDS = [
+    "".join(w) for n in range(1, _CLUSTER_ORDER + 1) for w in itertools.product("UDH", repeat=n)
+]
+
+
+def _brute_force_clusters(words):
+    """Every chain of marked occurrences covering a word of length at most
+    7, tallied by (length, net, low, marks, h): sorted by start, the first
+    starts at 0, the last ends at the end, each starts before the previous
+    one ends."""
+    table = {}
+    for word in _SHORT_WORDS:
+        if not any(word.startswith(v) for v in words):
+            continue
+        marks = sorted(
+            (i, i + len(v)) for v in words for i in range(len(word)) if word.startswith(v, i)
+        )
+        # chains[j]: number of chains from position 0 to mark j, by number of marks
+        chains = []
+        for start, end in marks:
+            counts = {1: 1} if start == 0 else {}
+            for (s, e), before in zip(marks, chains):
+                if s < start < e:
+                    for k, c in before.items():
+                        counts[k + 1] = counts.get(k + 1, 0) + c
+            chains.append(counts)
+        steps = ({"U": 1, "D": -1, "H": 0}[ch] for ch in word)
+        heights = list(itertools.accumulate(steps, initial=0))
+        for (start, end), counts in zip(marks, chains):
+            if end == len(word):
+                for k, c in counts.items():
+                    key = (len(word), heights[-1], min(heights), k, word.count("H"))
+                    table[key] = table.get(key, 0) + c
+    return table
+
+
+@given(factor_sets)
+@example(CLUSTER_123)
+@example(CLUSTER_132)
+def test_cluster_table_equals_brute_force_chains(spec):
+    assert cluster_gfs(spec, _CLUSTER_ORDER) == _brute_force_clusters(spec.words)
 
 
 def test_class_spec_parsing():

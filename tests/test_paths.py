@@ -62,6 +62,14 @@ def test_validation_messages():
         BicoloredMotzkinWord("TD")  # T at height zero
     with pytest.raises(ValueError):
         BicoloredMotzkinWord("UDD")
+    # a sequence of letters builds the word from its letters
+    for steps in (["U", "H", "D"], ("U", "H", "D")):
+        assert MotzkinWord(steps) == "UHD" and area(MotzkinWord(steps)) == 2
+        assert BicoloredMotzkinWord(steps) == "UHD"
+    assert BicoloredMotzkinWord(("U", "T", "D")) == "UTD"
+    assert MotzkinWord(iter("UHD")) == "UHD"
+    with pytest.raises(ValueError):
+        MotzkinWord(["U", "T", "D"])
 
 
 def test_height_list_examples():

@@ -49,6 +49,8 @@ def test_parse_rejects():
     for bad in ("", "1_", "_", "1a2", "1__2"):
         with pytest.raises(ValueError):
             PatternSpec.parse(bad)
+    with pytest.raises(ValueError, match="cannot parse pattern from '1²'"):
+        PatternSpec.parse("1²")
 
 
 def test_occurrences_vincular_example():
