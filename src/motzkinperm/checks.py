@@ -81,7 +81,7 @@ from .series import SeriesRing, TruncatedSeries, fixed_point_solve, solve_quadra
 
 #: Ceiling on nmax for the suites that walk all of S_n (bijection and
 #: diagram).  Their time grows about tenfold per n: on a 2-CPU machine
-#: (Python 3.11) each takes about 3 s at nmax 8 and 27-29 s at nmax 9, so
+#: (Python 3.11) each takes about 1.5 s at nmax 8 and 12-13 s at nmax 9, so
 #: nmax 12 would run for hours.
 ALL_PERMUTATIONS_BOUND = 9
 #: Ceiling on the random factor families of the cluster suite: about 10 s at

@@ -176,7 +176,8 @@ def _weakly_descending_subpaths(word: str) -> int:
 
 
 _NAMED_STATISTICS = {
-    "weak_valleys": lambda w: sum(subword_count(w, f) for f in WEAK_VALLEY_FACTORS),
+    # WEAK_VALLEY_FACTORS are the pairs of an H or D followed by an H or U
+    "weak_valleys": lambda w: sum(1 for a, b in zip(w, w[1:]) if a in "HD" and b in "HU"),
     "peaks": lambda w: subword_count(w, "UD"),
     "long_tunnels": _long_tunnels,
     "noninitial_up": _noninitial_up,
@@ -350,7 +351,8 @@ class LaguerreHistory:
         label_part = label_part.strip()
         if label_part.startswith("l="):
             label_part = label_part[2:]
-        labels = _parse_ints((v for v in label_part.split(",") if v != ""), "history", text.strip())
+        parts = label_part.split(",") if label_part else ()
+        labels = _parse_ints(parts, "history", text.strip())
         return cls(word, labels)
 
     def to_json_dict(self) -> dict:
@@ -381,13 +383,15 @@ def labeled_to_history(m: LabeledMotzkinPath) -> LaguerreHistory:
     return LaguerreHistory(str(m.word), tuple(labels))
 
 
-def _words(n: int, alphabet: str) -> Iterator[str]:
-    """All height-valid words of length n over the alphabet, lexicographic."""
+def _words(n: int, alphabet: str, cls: type[str]) -> Iterator:
+    """All height-valid words of length n over the alphabet, lexicographic,
+    as instances of cls.  Every step keeps the height valid, so the words
+    are built without the scan of cls's validating constructor."""
 
-    def extend(prefix: list[str], y: int) -> Iterator[str]:
+    def extend(prefix: list[str], y: int) -> Iterator:
         rest = n - len(prefix)
         if rest == 0:
-            yield "".join(prefix)
+            yield str.__new__(cls, "".join(prefix))
             return
         for ch in alphabet:
             y2 = y + _DELTA[ch]
@@ -405,15 +409,13 @@ def _words(n: int, alphabet: str) -> Iterator[str]:
 def enumerate_motzkin(n: int) -> Iterator[MotzkinWord]:
     if n > ENUMERATION_BOUND:
         raise BoundExceededError(n, ENUMERATION_BOUND, "Motzkin word enumeration")
-    for s in _words(n, "DHU"):
-        yield MotzkinWord(s)
+    yield from _words(n, "DHU", MotzkinWord)
 
 
 def enumerate_bicolored(n: int) -> Iterator[BicoloredMotzkinWord]:
     if n > ENUMERATION_BOUND:
         raise BoundExceededError(n, ENUMERATION_BOUND, "bicolored Motzkin word enumeration")
-    for s in _words(n, "DHTU"):
-        yield BicoloredMotzkinWord(s)
+    yield from _words(n, "DHTU", BicoloredMotzkinWord)
 
 
 def enumerate_labeled(n: int) -> Iterator[LabeledMotzkinPath]:

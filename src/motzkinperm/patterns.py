@@ -40,16 +40,31 @@ class PatternSpec:
         # when there are none).  Order isomorphism with the letters placed
         # so far holds exactly when the candidate lies between those two.
         letters = self.letters
-        plan = tuple(
-            (
-                k + 1 in self.adjacency,
-                v,
-                max((u for u in letters[k + 1 :] if u < v), default=0),
-                min((u for u in letters[k + 1 :] if u > v), default=m + 1),
+
+        def plan(stop: int) -> tuple:
+            return tuple(
+                (
+                    k + 1 in self.adjacency,
+                    v,
+                    max((u for u in letters[k + 1 : stop] if u < v), default=0),
+                    min((u for u in letters[k + 1 : stop] if u > v), default=m + 1),
+                )
+                for k, v in enumerate(letters[:stop])
             )
-            for k, v in enumerate(letters)
-        )
-        object.__setattr__(self, "_plan", plan)
+
+        object.__setattr__(self, "_plan", plan(m))
+        # A last letter that is not glued may stand anywhere right of the
+        # others, so enumerate_class looks one letter ahead: it matches
+        # letters 1..m-1 alone (against each other only), and letter m then
+        # needs a value strictly between the host values of pattern values
+        # last - 1 and last + 1.
+        lookahead = m >= 2 and m - 1 not in self.adjacency
+        object.__setattr__(self, "_lookahead", plan(m - 1) if lookahead else None)
+        # got[v] is the host value matched to pattern value v.  got[0] lies
+        # below every host value (they start at 1); got[m + 1] is unbounded
+        # because the partial words of enumerate_class hold values larger
+        # than their length.
+        object.__setattr__(self, "_got", [0] * (m + 1) + [math.inf])
 
     @property
     def is_classical(self) -> bool:
@@ -109,34 +124,45 @@ class PatternSpec:
 
 
 def _count(
-    values: Sequence[int], spec: PatternSpec, ends: Iterable[int], first: bool = False
+    values: Sequence[int],
+    spec: PatternSpec,
+    ends: Iterable[int],
+    first: bool = False,
+    free: int | None = None,
 ) -> int:
     """Number of occurrences of the pattern in values whose last letter sits
     at one of the 0-based indices in ``ends``; with ``first``, stop at the
     first one found (the result is then 0 or 1).
 
+    With ``free``, a bitmask of the values still to be placed right of
+    ``values`` (bit v for value v), the pattern must have length m >= 2
+    and a last letter that is not glued.  Letters 1..m-1 are then anchored
+    instead, and an occurrence of them counts only when some free value
+    lies strictly inside the interval that letter m needs.
+
     Letters are placed right to left from that anchor.  A letter glued to
     its right neighbour has one candidate position, a free letter scans
     leftwards, and each candidate is compared only with the placed letters
     nearest to it in value (see ``PatternSpec._plan``)."""
-    plan = spec._plan
+    plan = spec._plan if free is None else spec._lookahead
     m = len(plan)
     if m == 0:
         return 1
-    # got[v] is the host value matched to pattern value v.  got[0] lies
-    # below every host value (they start at 1); got[m + 1] is unbounded
-    # because the partial words of enumerate_class hold values larger than
-    # their length.
-    got = [0] * (m + 1) + [math.inf]
+    got = spec._got[:]
+    gap = spec.letters[-1]
 
     def extend(k: int, right: int) -> int:
         """Ways to place letters k, k-1, ..., 0 left of index right."""
         if k < 0:
-            return 1
+            if free is None:
+                return 1
+            # the least free value above got[gap - 1] must lie below got[gap + 1]
+            over = free & -(2 << got[gap - 1])
+            return 1 if over and (over & -over).bit_length() - 1 < got[gap + 1] else 0
         glued, value, below, above = plan[k]
         low, high = got[below], got[above]
         found = 0
-        for pos in range(right - 1, max(right - 2, k - 1) if glued else k - 1, -1):
+        for pos in range(right - 1, right - 2 if glued and right > k else k - 1, -1):
             v = values[pos]
             if low < v < high:
                 got[value] = v
@@ -145,7 +171,7 @@ def _count(
                     break
         return found
 
-    last = spec.letters[m - 1]
+    last = plan[-1][1]
     found = 0
     for end in ends:
         if end >= m - 1:
@@ -196,14 +222,27 @@ def enumerate_class(
     involutions of size n (base="involutions"), in lexicographic order.
 
     Both bases walk one prefix tree of partial words and prune a prefix as
-    soon as it completes an occurrence of any pattern, so a class far
+    soon as every completion of it contains a pattern, so a class far
     smaller than its base is enumerated without touching all of the base.
+    For a pattern whose last letter is glued, or of length 1, that is when
+    the prefix completes an occurrence.  Otherwise it is when the prefix
+    completes an occurrence of letters 1..m-1 and a free value, which every
+    completion places later, lies in the interval letter m needs; no prefix
+    that completes the whole pattern is reached, since a shorter one is
+    dead.
+
+    >>> len(list(enumerate_class(4, [PatternSpec.parse("132"), PatternSpec.parse("_123")])))
+    9
     """
     if base not in ("all", "involutions"):
         raise ValueError(f"unknown base {base!r}")
     specs = tuple(patterns)
-    yield from _walk(
-        n,
-        base == "involutions",
-        lambda word: any(_count(word, s, (len(word) - 1,), first=True) for s in specs),
-    )
+
+    def dead(word: list[int], free: int) -> bool:
+        end = (len(word) - 1,)
+        for s in specs:
+            if _count(word, s, end, True, free if s._lookahead else None):
+                return True
+        return False
+
+    yield from _walk(n, base == "involutions", dead)

@@ -251,15 +251,19 @@ def enumerate_permutations(n: int) -> Iterator[Permutation]:
 
 def enumerate_involutions(n: int) -> Iterator[Permutation]:
     """All involutions of size n, in lexicographic order."""
-    yield from _walk(n, True, lambda word: False)
+    yield from _walk(n, True, lambda word, free: False)
 
 
-def _walk(n: int, involutions: bool, prune: Callable[[list[int]], bool]) -> Iterator[Permutation]:
+def _walk(
+    n: int, involutions: bool, prune: Callable[[list[int], int], bool]
+) -> Iterator[Permutation]:
     """The permutations of size n, or with ``involutions`` the involutions,
     with no prefix that ``prune`` rejects, in lexicographic order.
 
     Positions are filled left to right and each prefix is passed to
-    ``prune`` once, right after its last letter is placed.  An involution
+    ``prune`` once, right after its last letter is placed, together with
+    the bitmask of the values not yet placed (bit v for value v); every
+    completion places those values right of the prefix.  An involution
     whose position j < i holds i must hold j at position i; otherwise
     position i takes i itself or a free value above it."""
     if n > ENUMERATION_BOUND:
@@ -267,8 +271,10 @@ def _walk(n: int, involutions: bool, prune: Callable[[list[int]], bool]) -> Iter
         raise BoundExceededError(n, ENUMERATION_BOUND, what)
     word: list[int] = []
     position = [0] * (n + 1)  # position[v] is where v stands, 0 while v is free
+    free = (1 << (n + 1)) - 2  # bit v is set while v is free
 
     def place() -> Iterator[Permutation]:
+        nonlocal free
         i = len(word) + 1
         if i > n:
             yield Permutation(word)
@@ -282,10 +288,12 @@ def _walk(n: int, involutions: bool, prune: Callable[[list[int]], bool]) -> Iter
                 continue
             word.append(v)
             position[v] = i
-            if not prune(word):
+            free ^= 1 << v
+            if not prune(word, free):
                 yield from place()
             word.pop()
             position[v] = 0
+            free ^= 1 << v
 
     yield from place()
 

@@ -87,6 +87,8 @@ def test_map_parse_error_is_usage(capsys):
         ("foata", "(1,)", "cannot parse cycle form from '(1,)'"),
         ("foata", "()", "cannot parse cycle form from '()'"),
         ("gamma-inv", "UD | l=0,x", "cannot parse history from 'UD | l=0,x'"),
+        ("gamma-inv", "UD | l=0,,0", "cannot parse history from 'UD | l=0,,0'"),
+        ("gamma-inv", "UD | l=0,0,", "cannot parse history from 'UD | l=0,0,'"),
     ]:
         code, _, err = run(capsys, "map", "--via", via, text)
         assert (code, err) == (2, f"error: {message}\n"), text

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -8,6 +9,7 @@ from motzkinperm.bijections import CONSECUTIVE_PATTERNS, window_pattern_counts
 from motzkinperm.errors import BoundExceededError
 from motzkinperm.paths import (
     DESCENT_FACTORS,
+    WEAK_VALLEY_FACTORS,
     BicoloredMotzkinWord,
     LabeledMotzkinPath,
     LaguerreHistory,
@@ -143,6 +145,22 @@ def test_named_statistics():
         named_statistic(MotzkinWord("UD"), "zigzags")
 
 
+def test_weak_valleys_equal_factor_counts():
+    words = [w for n in range(11) for w in enumerate_motzkin(n)]
+    words += ["".join(w) for n in range(7) for w in itertools.product("UDH", repeat=n)]
+    for w in words:
+        expected = sum(subword_count(w, f) for f in WEAK_VALLEY_FACTORS)
+        assert named_statistic(w, "weak_valleys") == expected, w
+
+
+def test_enumerated_words_pass_their_constructors():
+    for n in range(11):
+        for w in enumerate_motzkin(n):
+            assert type(w) is MotzkinWord and MotzkinWord(w) == w
+        for w in enumerate_bicolored(n):
+            assert type(w) is BicoloredMotzkinWord and BicoloredMotzkinWord(w) == w
+
+
 def test_weakly_descending_subpaths_identity():
     # every non-empty Motzkin word ends with H or D, so the count is always
     # the number of HU and DU factors plus one
@@ -203,7 +221,19 @@ def test_history_parse_and_render():
     text = "UUTUDTDHD | l=0,0,1,2,1,0,1,0,0"
     h = LaguerreHistory.parse(text)
     assert str(h) == text
-    assert LaguerreHistory.parse("| l=").word == ""
+    assert LaguerreHistory.parse("| l=") == LaguerreHistory("", ())
+
+
+def test_history_parse_refuses_empty_labels():
+    for text in ("UD | l=0,,0", "UD | l=0,0,", "UD | l=,0,0"):
+        with pytest.raises(ValueError, match="cannot parse history from"):
+            LaguerreHistory.parse(text)
+
+
+def test_history_str_parse_roundtrip():
+    for n in range(6):
+        for h in enumerate_histories(n):
+            assert LaguerreHistory.parse(str(h)) == h
 
 
 def test_history_label_bounds():

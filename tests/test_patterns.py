@@ -1,8 +1,9 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from motzkinperm import patterns
 from motzkinperm.errors import BoundExceededError
 from motzkinperm.patterns import (
     PatternSpec,
@@ -15,6 +16,7 @@ from motzkinperm.patterns import (
 )
 from motzkinperm.permutations import (
     Permutation,
+    _walk,
     ascending_runs,
     enumerate_involutions,
     enumerate_permutations,
@@ -130,6 +132,42 @@ def test_enumerate_class_equals_filtered_permutations(texts):
     for n in range(8):
         expected = [p for p in enumerate_permutations(n) if avoids_all(p, specs)]
         assert list(enumerate_class(n, specs)) == expected
+
+
+# n = 7 with three length-4 patterns filters 5040 permutations, which can
+# take longer than Hypothesis's default deadline of 200 ms per example
+@settings(deadline=None)
+@given(st.integers(min_value=0, max_value=7), st.lists(pattern_specs, max_size=3))
+def test_enumerate_class_equals_filtered_permutations_random(n, specs):
+    expected = [p for p in enumerate_permutations(n) if avoids_all(p, specs)]
+    assert list(enumerate_class(n, specs)) == expected
+
+
+def count_prefixes(monkeypatch, texts, n, base="all"):
+    """Members of the class and the prefixes the walk passes to its prune
+    callable."""
+    calls = []
+
+    def counting_walk(n, involutions, prune):
+        def counted(word, free):
+            calls.append(len(word))
+            return prune(word, free)
+
+        return _walk(n, involutions, counted)
+
+    monkeypatch.setattr(patterns, "_walk", counting_walk)
+    members = sum(1 for _ in enumerate_class(n, [PatternSpec.parse(t) for t in texts], base))
+    return members, len(calls)
+
+
+def test_lookahead_prunes_dead_prefixes(monkeypatch):
+    # 132's last letter is not glued: a prefix ending in letters 1, 3 of an
+    # occurrence is dead once a free value lies between them
+    assert count_prefixes(monkeypatch, ("132", "_123"), 9) == (835, 13637)
+    assert count_prefixes(monkeypatch, ("3412",), 9, "involutions") == (835, 5726)
+    # both last letters are glued: every prefix that completes no occurrence
+    # is walked, as without lookahead
+    assert count_prefixes(monkeypatch, ("1_32", "1_23"), 9) == (2620, 64737)
 
 
 @given(st.integers(min_value=0, max_value=8), st.lists(pattern_specs, max_size=3))
