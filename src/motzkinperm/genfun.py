@@ -10,6 +10,12 @@ pattern-occurrence series, fixed points), w marks fixed points, t marks
 pattern occurrences.  Over permutations avoiding 132 and consecutive 123,
 y marks coinversions, z marks descents, t marks pattern occurrences.
 
+The algebraic series are lazy fixed points, almost all of them
+power-series roots of quadratics (``series.solve_quadratic``); the
+radical closed forms of the cluster method are such roots too.  The
+q-series are fixed points of first-return maps with a rescale x -> x*m,
+or a continued fraction.
+
 Every series here is exact; the ``genfun`` suite compares each one,
 coefficient by coefficient and at full order, with the path transfer
 matrix (``paths.path_series``) of the statistics it counts.
@@ -115,8 +121,13 @@ def _pattern_ring(order: int) -> SeriesRing:
 
 def f123_inv(order: int) -> TruncatedSeries:
     """Occurrences of consecutive 123 (t) and fixed points (z) over
-    3412-avoiding involutions; closed form from the cluster method for
-    the factor family {HHH, HHU, DHH, DHU}."""
+    3412-avoiding involutions; cluster method for the factor family
+    {HHH, HHU, DHH, DHU}.
+
+    The cluster method gives F = 2/(B + sqrt((1-c)^2 - 4a^2)) with
+    B = 1 - 2b + c, and (1-c)^2 - 4a^2 = B^2 - 4A for
+    A = (c-b)(1-b) + a^2, so F is the power-series root of
+    A F^2 - B F + 1 = 0."""
     ring = _pattern_ring(order)
     x, t, z = ring.x(), ring.var("t"), ring.var("z")
     one = ring.one()
@@ -126,20 +137,19 @@ def f123_inv(order: int) -> TruncatedSeries:
     a = x + p
     b = x * z + x**3 * z**3 * tm1 * q
     c = x * z + p * (z + x * tm1 + x * x * tm1 * z) + x**3 * tm1 * z
-    rad = (one - c) ** 2 - a * a * 4
-    # 2 A^2 / (2(1-B)A^2 - A^2 + A^2 C + A^2 sqrt(rad)), with A^2 cancelled
-    return (one - b * 2 + c + rad.sqrt()).invert() * 2
+    return solve_quadratic((c - b) * (one - b) + a * a, b * 2 - one - c, one)
 
 
 def f132_inv(order: int) -> TruncatedSeries:
     """Occurrences of consecutive 132 (t) and fixed points (z) over
-    3412-avoiding involutions; cluster method for the factors {HU, DU}."""
+    3412-avoiding involutions; cluster method for the factors {HU, DU}.
+
+    The cluster method gives F = 2/(B + sqrt(B^2 - 4A)) with
+    B = 1 - xz + x^2(t-1) and A = x^2 t, which is the power-series root of
+    A F^2 - B F + 1 = 0."""
     ring = _pattern_ring(order)
-    x, t, z = ring.x(), ring.var("t"), ring.var("z")
-    one = ring.one()
-    tm1 = t - one
-    rad = (one - x * z - x * x * tm1) ** 2 - x * (x + x * x * z * tm1) * 4
-    return (one - x * z + x * x * t - x * x + rad.sqrt()).invert() * 2
+    x, t, z, one = ring.x(), ring.var("t"), ring.var("z"), ring.one()
+    return solve_quadratic(x * x * t, x * z - one - x * x * (t - one), one)
 
 
 def f321_inv(order: int) -> TruncatedSeries:

@@ -73,17 +73,22 @@ def identity(n: int) -> Permutation:
 
 
 def inv_count(p: Permutation) -> int:
-    """Number of pairs i < j with p_i > p_j.
+    """Number of pairs i < j with p_i > p_j: one pass that counts, for each
+    value, the larger values already seen in a bitmask.
 
     >>> inv_count(Permutation.parse("2 1"))
     1
     """
-    return sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
+    count = seen = 0
+    for v in p:
+        count += (seen >> v).bit_count()
+        seen |= 1 << v
+    return count
 
 
 def coinv_count(p: Permutation) -> int:
-    """Number of pairs i < j with p_i < p_j; complements inv_count to C(n, 2)."""
-    return sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] < p[j])
+    """Number of pairs i < j with p_i < p_j: C(n, 2) - inv_count(p)."""
+    return len(p) * (len(p) - 1) // 2 - inv_count(p)
 
 
 def des_count(p: Permutation) -> int:

@@ -261,81 +261,53 @@ class TruncatedSeries:
     def _has_auxiliary_constant(self) -> bool:
         return any(0 < k < 1 << self.ring._x_shift for k in self.terms)
 
-    def _integer_rescaling(
-        self, c0: Coefficient, factor: int
-    ) -> tuple[int, list[list[tuple[int, int]]]]:
-        """Rescale v = self/c0 (constant term 1) to integer coefficients.
-
-        With d a common denominator of v, returns s = factor * d and the
-        terms of v(s*x) of positive x-degree, grouped by x-degree: the x^n
-        coefficient of v times s^n, which is (d v_n) factor^n d^(n-1), an
-        int.  Keys are kept whole.
-        """
-        v = self.terms if c0 == 1 else {k: _norm(Fraction(c) / c0) for k, c in self.terms.items()}
-        d, cleared = _clear_denominators(v)
-        multipliers = [0] + [factor**n * d ** (n - 1) for n in range(1, self.ring.order + 1)]
-        groups: list[list[tuple[int, int]]] = [[] for _ in multipliers]
-        shift = self.ring._x_shift
-        for k, c in cleared.items():
-            n = k >> shift
-            if n:
-                groups[n].append((k, c * multipliers[n]))
-        return factor * d, groups
-
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires the x^0 coefficient to be a
         nonzero rational constant free of auxiliary variables.
 
         Solved degree by degree with the reciprocal recurrence
         g_0 = 1, g_n = -sum_{k=1..n} a_k g_{n-k} for a = self/c_0, where
-        a_k is the auxiliary-variable polynomial at x^k.  The recurrence
-        runs on the integer series a(s*x) of ``_integer_rescaling`` and
-        divides by c_0 s^n at the end; with integer coefficients and
-        c_0 = +-1 that divisor is c_0 itself and every result is an int.
+        a_k is the auxiliary-variable polynomial at x^k.  With d a common
+        denominator of a, the recurrence runs on the integer series a(d*x),
+        whose x^n coefficient is (d a_n) d^(n-1), and divides by c_0 d^n at
+        the end; with integer coefficients and c_0 = +-1 that divisor is
+        c_0 itself and every result is an int.
         """
         c0 = self.constant_term()
         if c0 == 0 or self._has_auxiliary_constant():
             raise ValueError("invert needs a nonzero constant term free of auxiliaries")
-        ring = self.ring
-        scale, a = self._integer_rescaling(c0, 1)
+        ring, shift = self.ring, self.ring._x_shift
+        v = self.terms if c0 == 1 else {k: _norm(Fraction(c) / c0) for k, c in self.terms.items()}
+        d, cleared = _clear_denominators(v)
+        a: list[list[tuple[int, int]]] = [[] for _ in range(ring.order + 1)]
+        for k, c in cleared.items():
+            n = k >> shift
+            if n:
+                a[n].append((k, c * d ** (n - 1)))
         g: list[dict[int, int]] = [{0: 1}]
         for n in range(1, ring.order + 1):
             acc: dict[int, int] = {}
             for k in range(1, n + 1):
                 _subtract_products(acc, a[k], g[n - k].items())
             g.append(ring._checked({key: c for key, c in acc.items() if c}))
-        if scale == 1 and c0 in (1, -1):
+        if d == 1 and c0 in (1, -1):
             terms = {k: c * c0 for gn in g for k, c in gn.items()}
         else:
-            terms = {k: _norm(Fraction(c, c0 * scale ** (k >> ring._x_shift)))
-                     for gn in g for k, c in gn.items()}
+            terms = {k: _norm(Fraction(c, c0 * d ** (k >> shift))) for gn in g for k, c in gn.items()}
         return _series(ring, terms)
 
     def sqrt(self) -> "TruncatedSeries":
         """Square root with constant term +1; requires constant term 1.
 
-        Solved degree by degree from y^2 = u: y_0 = 1 and
-        y_n = (u_n - sum_{k=1..n-1} y_k y_{n-k}) / 2.  The recurrence runs
-        on U = u(s*x) with s = 4 * (a common denominator of u): U = 1 + 4w
-        with w integral, so sqrt(U) = sum_m binomial(1/2, m) 4^m w^m is
-        integral and every halving is exact.  The residual root^2 - u is
-        verified to vanish.
+        With u = 1 + v, the root is 1 + v*G for G the quadratic root of
+        v*G^2 + 2*G - 1 = 0, that is G = (1 - v*G^2)/2 (``solve_quadratic``).
+        Its fixed-point check gives 2G + vG^2 = 1 up to the order, so
+        (1 + vG)^2 = 1 + v(2G + vG^2) = u there, as v has x-valuation >= 1.
         """
         if self.constant_term() != 1 or self._has_auxiliary_constant():
             raise ValueError("sqrt needs constant term exactly 1")
-        ring = self.ring
-        scale, u = self._integer_rescaling(1, 4)
-        y: list[dict[int, int]] = [{0: 1}]
-        for n in range(1, ring.order + 1):
-            acc: dict[int, int] = dict(u[n])
-            for k in range(1, n):
-                _subtract_products(acc, y[k].items(), y[n - k].items())
-            y.append(ring._checked({key: c // 2 for key, c in acc.items() if c}))
-        root = _series(ring, {k: _norm(Fraction(c, scale ** (k >> ring._x_shift)))
-                              for yn in y for k, c in yn.items()})
-        if root * root != self:
-            raise InvariantError("sqrt residual does not vanish")
-        return root
+        v = self - 1
+        return v * solve_quadratic(v, self.ring.const(2), -1) + 1
 
     # -- substitution --------------------------------------------------------
 
@@ -545,9 +517,11 @@ def solve_quadratic(
     >= 1 and b with a nonzero constant term b0 free of auxiliary variables.
 
     F is the only root, the fixed point of the x-adic contraction
-    F = -(c + a*F^2 + (b - b0)*F)/b0, so F(0) = -c(0)/b0 and there is no
-    branch to choose.  The eager check that F is fixed is the residual
-    a*F^2 + b*F + c = 0 divided by -b0.  The Catalan series, C = 1 + x*C^2:
+    F = -(F*(F*a + (b - b0)) + c)/b0, so F(0) = -c(0)/b0 and there is no
+    branch to choose; Horner's form takes two products per coefficient.
+    The eager check that F is fixed is the residual a*F^2 + b*F + c = 0
+    divided by -b0.  Every algebraic named series is such a root, and so is
+    ``sqrt``.  The Catalan series, C = 1 + x*C^2:
 
     >>> ring = SeriesRing(5, ())
     >>> f = solve_quadratic(ring.x(), ring.const(-1), 1)
@@ -557,7 +531,7 @@ def solve_quadratic(
     b0 = b.constant_term()
     if a.x_valuation() < 1 or b0 == 0 or b._has_auxiliary_constant():
         raise ValueError("solve_quadratic needs a of x-valuation >= 1 and b(0) a nonzero rational")
-    return fixed_point_solve(lambda f: (f * f * a + f * (b - b0) + c) * Fraction(-1, b0), a.ring)
+    return fixed_point_solve(lambda f: (f * (f * a + (b - b0)) + c) * Fraction(-1, b0), a.ring)
 
 
 def fixed_point_solve(

@@ -105,6 +105,34 @@ def test_f312_routes_agree():
     assert f312_via_t1t2(ORDER) == f312_inv(ORDER)
 
 
+def radical_f123_inv(order):
+    """The cluster method's closed form of f123_inv: 2/(1 - 2b + c + sqrt(rad))."""
+    ring = SeriesRing(order, ("t", "z"))
+    x, t, z, one = ring.x(), ring.var("t"), ring.var("z"), ring.one()
+    tm1 = t - one
+    q = (one - x * z * tm1 - x * x * z * z * tm1).invert()
+    p = x**3 * z * z * tm1 * q
+    a = x + p
+    b = x * z + x**3 * z**3 * tm1 * q
+    c = x * z + p * (z + x * tm1 + x * x * tm1 * z) + x**3 * tm1 * z
+    rad = (one - c) ** 2 - a * a * 4
+    return (one - b * 2 + c + rad.sqrt()).invert() * 2
+
+
+def radical_f132_inv(order):
+    """The cluster method's closed form of f132_inv: 2/(B + sqrt(rad))."""
+    ring = SeriesRing(order, ("t", "z"))
+    x, t, z, one = ring.x(), ring.var("t"), ring.var("z"), ring.one()
+    tm1 = t - one
+    rad = (one - x * z - x * x * tm1) ** 2 - x * (x + x * x * z * tm1) * 4
+    return (one - x * z + x * x * t - x * x + rad.sqrt()).invert() * 2
+
+
+def test_quadratic_roots_equal_the_radical_closed_forms():
+    assert f123_inv(20) == radical_f123_inv(20)
+    assert f132_inv(20) == radical_f132_inv(20)
+
+
 def test_t1t2_collapse_cancels_the_reciprocal_or_raises():
     ring, target = SeriesRing(4, ("t1", "t2", "z")), SeriesRing(4, ("t", "z"))
     g = ring.monomial(1, 3, t1=2, t2=1, z=1) + ring.monomial(2, 3, t1=1, z=1) + ring.monomial(1, 4, t1=1, t2=1)

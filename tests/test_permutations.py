@@ -61,6 +61,14 @@ def test_coinv_count():
     assert coinv_count(Permutation.parse("321")) == 0
 
 
+def test_inv_and_coinv_match_pair_counts():
+    for n in range(8):
+        for p in enumerate_permutations(n):
+            pairs = [(p[i], p[j]) for i in range(n) for j in range(i + 1, n)]
+            assert inv_count(p) == sum(1 for a, b in pairs if a > b)
+            assert coinv_count(p) == sum(1 for a, b in pairs if a < b)
+
+
 @given(perms)
 def test_inv_plus_coinv(word):
     p = Permutation(word)
