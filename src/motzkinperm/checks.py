@@ -12,6 +12,7 @@ from __future__ import annotations
 import inspect
 import math
 import random
+from fractions import Fraction
 from typing import Callable, Sequence
 
 from .bijections import (
@@ -81,7 +82,7 @@ from .series import SeriesRing, TruncatedSeries, fixed_point_solve, solve_quadra
 
 #: Ceiling on nmax for the suites that walk all of S_n (bijection and
 #: diagram).  Their time grows about tenfold per n: on a 2-CPU machine
-#: (Python 3.11) each takes about 1.5 s at nmax 8 and 12-13 s at nmax 9, so
+#: (Python 3.11) each takes about 1.3 s at nmax 8 and 10-16 s at nmax 9, so
 #: nmax 12 would run for hours.
 ALL_PERMUTATIONS_BOUND = 9
 #: Ceiling on the random factor families of the cluster suite: about 10 s at
@@ -434,6 +435,10 @@ def check_series_engine(trials: int = 40, seed: int = 7) -> list[str]:
         if qa * root * root + qb * root + one != ring.zero():
             failures.append("quadratic residual does not vanish")
 
+    # The draws have integer coefficients; one denominator reaches invert's rescale.
+    u = one + ring.monomial(Fraction(1, 3), 1, t=1) - ring.monomial(Fraction(1, 2), 2, z=1)
+    if u * u.invert() != one or u.sqrt() ** 2 != u:
+        failures.append(f"inversion or sqrt fails for {u!r}")
     geom = fixed_point_solve(lambda f: one + f * x, ring)
     if geom != (one - x).invert():
         failures.append("fixed point of 1 + x f is not the geometric series")

@@ -385,25 +385,20 @@ def labeled_to_history(m: LabeledMotzkinPath) -> LaguerreHistory:
 
 def _words(n: int, alphabet: str, cls: type[str]) -> Iterator:
     """All height-valid words of length n over the alphabet, lexicographic,
-    as instances of cls.  Every step keeps the height valid, so the words
-    are built without the scan of cls's validating constructor."""
-
-    def extend(prefix: list[str], y: int) -> Iterator:
+    as instances of cls; every step keeps the height valid, so they skip
+    the scan of cls's validating constructor.  A stack of (prefix, height)
+    replaces a nested recursive generator, a cycle only the cyclic GC frees."""
+    stack = [("", 0)]
+    while stack:
+        prefix, y = stack.pop()
         rest = n - len(prefix)
         if rest == 0:
-            yield str.__new__(cls, "".join(prefix))
-            return
-        for ch in alphabet:
+            yield str.__new__(cls, prefix)
+            continue
+        for ch in reversed(alphabet):  # the first letter is extended first
             y2 = y + _DELTA[ch]
-            if y2 < 0 or y2 > rest - 1:
-                continue
-            if ch == "T" and y == 0:
-                continue
-            prefix.append(ch)
-            yield from extend(prefix, y2)
-            prefix.pop()
-
-    return extend([], 0)
+            if 0 <= y2 < rest and not (ch == "T" and y == 0):
+                stack.append((prefix + ch, y2))
 
 
 def enumerate_motzkin(n: int) -> Iterator[MotzkinWord]:

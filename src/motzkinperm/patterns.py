@@ -124,11 +124,7 @@ class PatternSpec:
 
 
 def _count(
-    values: Sequence[int],
-    spec: PatternSpec,
-    ends: Iterable[int],
-    first: bool = False,
-    free: int | None = None,
+    values: Sequence, spec: PatternSpec, ends: Iterable, first: bool = False, free: int | None = None
 ) -> int:
     """Number of occurrences of the pattern in values whose last letter sits
     at one of the 0-based indices in ``ends``; with ``first``, stop at the
@@ -150,33 +146,37 @@ def _count(
         return 1
     got = spec._got[:]
     gap = spec.letters[-1]
-
-    def extend(k: int, right: int) -> int:
-        """Ways to place letters k, k-1, ..., 0 left of index right."""
-        if k < 0:
-            if free is None:
-                return 1
-            # the least free value above got[gap - 1] must lie below got[gap + 1]
-            over = free & -(2 << got[gap - 1])
-            return 1 if over and (over & -over).bit_length() - 1 < got[gap + 1] else 0
-        glued, value, below, above = plan[k]
-        low, high = got[below], got[above]
-        found = 0
-        for pos in range(right - 1, right - 2 if glued and right > k else k - 1, -1):
-            v = values[pos]
-            if low < v < high:
-                got[value] = v
-                found += extend(k - 1, pos)
-                if found and first:
-                    break
-        return found
-
     last = plan[-1][1]
     found = 0
     for end in ends:
         if end >= m - 1:
             got[last] = values[end]
-            found += extend(m - 2, end)
+            found += _extend(values, plan, got, m - 2, end, first, free, gap)
+            if found and first:
+                break
+    return found
+
+
+def _extend(
+    values: Sequence, plan: tuple, got: list, k: int, right: int, first: bool, free: int | None, gap: int
+) -> int:
+    """Ways to place letters k, k-1, ..., 0 of ``_count``'s plan left of
+    index right.  Not a closure in ``_count``: a self-recursive closure is a
+    reference cycle, which only the cyclic garbage collector frees."""
+    if k < 0:
+        if free is None:
+            return 1
+        # the least free value above got[gap - 1] must lie below got[gap + 1]
+        over = free & -(2 << got[gap - 1])
+        return 1 if over and (over & -over).bit_length() - 1 < got[gap + 1] else 0
+    glued, value, below, above = plan[k]
+    low, high = got[below], got[above]
+    found = 0
+    for pos in range(right - 1, right - 2 if glued and right > k else k - 1, -1):
+        v = values[pos]
+        if low < v < high:
+            got[value] = v
+            found += _extend(values, plan, got, k - 1, pos, first, free, gap)
             if found and first:
                 break
     return found

@@ -274,33 +274,33 @@ def _walk(
     if n > ENUMERATION_BOUND:
         what = "involution enumeration" if involutions else "class enumeration"
         raise BoundExceededError(n, ENUMERATION_BOUND, what)
-    word: list[int] = []
-    position = [0] * (n + 1)  # position[v] is where v stands, 0 while v is free
-    free = (1 << (n + 1)) - 2  # bit v is set while v is free
+    yield from _place(n, involutions, prune, [], [0] * (n + 1), (1 << (n + 1)) - 2)
 
-    def place() -> Iterator[Permutation]:
-        nonlocal free
-        i = len(word) + 1
-        if i > n:
-            yield Permutation(word)
-            return
-        if involutions and position[i]:
-            choices: Iterable[int] = (position[i],)
-        else:
-            choices = range(i if involutions else 1, n + 1)
-        for v in choices:
-            if position[v]:
-                continue
-            word.append(v)
-            position[v] = i
-            free ^= 1 << v
-            if not prune(word, free):
-                yield from place()
-            word.pop()
-            position[v] = 0
-            free ^= 1 << v
 
-    yield from place()
+def _place(
+    n: int, involutions: bool, prune: Callable, word: list[int], position: list[int], free: int
+) -> Iterator[Permutation]:
+    """The completions of ``_walk``'s prefix ``word``; position[v] is where
+    v stands, 0 while v is free.  Not a closure: a self-recursive closure is
+    a reference cycle, which only the cyclic garbage collector frees."""
+    i = len(word) + 1
+    if i > n:
+        yield Permutation(word)
+        return
+    if involutions and position[i]:
+        choices: Iterable[int] = (position[i],)
+    else:
+        choices = range(i if involutions else 1, n + 1)
+    for v in choices:
+        if position[v]:
+            continue
+        word.append(v)
+        position[v] = i
+        rest = free ^ (1 << v)
+        if not prune(word, rest):
+            yield from _place(n, involutions, prune, word, position, rest)
+        word.pop()
+        position[v] = 0
 
 
 def involution_number(n: int) -> int:

@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -14,6 +15,7 @@ from motzkinperm.patterns import (
     enumerate_class,
     occurrences,
 )
+from motzkinperm.paths import enumerate_bicolored, enumerate_motzkin
 from motzkinperm.permutations import (
     Permutation,
     _walk,
@@ -168,6 +170,34 @@ def test_lookahead_prunes_dead_prefixes(monkeypatch):
     # both last letters are glued: every prefix that completes no occurrence
     # is walked, as without lookahead
     assert count_prefixes(monkeypatch, ("1_32", "1_23"), 9) == (2620, 64737)
+
+
+def test_walks_and_matcher_leave_no_reference_cycles():
+    # A self-recursive closure is a function <-> cell cycle that only the
+    # cyclic garbage collector frees, so a walk that made one per prefix or
+    # per match ran the collector inside itself.
+    specs = [PatternSpec.parse(t) for t in ("132", "_123", "1_32", "1_23", "3412", "2_13")]
+
+    def run():
+        list(enumerate_class(7, specs[0:2]))
+        list(enumerate_class(7, specs[2:4]))
+        list(enumerate_class(8, specs[4:5], base="involutions"))
+        list(enumerate_involutions(7))
+        list(enumerate_motzkin(7))
+        list(enumerate_bicolored(6))
+        for p in enumerate_permutations(5):
+            for s in specs:
+                occurrences(p, s)
+                contains(p, s)
+
+    run()
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @given(st.integers(min_value=0, max_value=8), st.lists(pattern_specs, max_size=3))
