@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from .errors import InvariantError
 from .paths import (
     DESCENT_FACTORS,
+    BicoloredMotzkinWord,
     LabeledMotzkinPath,
     LaguerreHistory,
     MotzkinWord,
@@ -78,7 +79,9 @@ def perm_to_history(p: Permutation) -> LaguerreHistory:
     in word order.  A value is a head when it is first or follows a larger
     letter, and a tail when it is last or precedes a smaller one.  The open
     runs before its own run are exactly the runs it counts, so its label is
-    the index of its run's head in that list.
+    the index of its run's head in that list.  Its length is the height the
+    step starts from, and a T or D step's own run is in it, so every label
+    is within its bound and the history is built without re-checking it.
 
     >>> str(perm_to_history(Permutation.parse("826913547")))
     'UUTUDTDHD | l=0,0,1,2,1,0,1,0,0'
@@ -103,7 +106,8 @@ def perm_to_history(p: Permutation) -> LaguerreHistory:
             del opened[label]
         steps.append(step)
         labels.append(label)
-    return LaguerreHistory("".join(steps), tuple(labels))
+    word = str.__new__(BicoloredMotzkinWord, "".join(steps))
+    return LaguerreHistory._trusted(word, tuple(labels))
 
 
 def history_to_perm(h: LaguerreHistory) -> Permutation:
@@ -115,7 +119,8 @@ def history_to_perm(h: LaguerreHistory) -> Permutation:
     front when l = 0); a U run also joins the open runs at index l.  A T or
     D step labeled l appends its value to open run l (0-based), and D closes
     that run.  The label bounds of ``LaguerreHistory`` keep every index in
-    range, so every history has a preimage.
+    range, so every history has a preimage, and each value joins exactly
+    one run, so the word is a permutation without re-checking it.
 
     >>> str(history_to_perm(LaguerreHistory.parse("UUTUDTDHD | l=0,0,1,2,1,0,1,0,0")))
     '8 2 6 9 1 3 5 4 7'
@@ -132,7 +137,7 @@ def history_to_perm(h: LaguerreHistory) -> Permutation:
             opened[label].append(value)
             if step == "D":
                 del opened[label]
-    return Permutation(v for run in runs for v in run)
+    return Permutation._trusted([v for run in runs for v in run])
 
 
 def foata(cycles: CycleForm) -> Permutation:
@@ -184,7 +189,7 @@ def involution_to_path(p: Permutation) -> LabeledMotzkinPath:
 
     The open openers are kept in increasing order, as in
     ``path_to_involution``; those after j are the ones counted, and the
-    closer then removes j.
+    closer then removes j, so the label is at most the closer's height.
 
     >>> str(involution_to_path(Permutation.parse("65382174")))
     'UUHUD1D1HD0'
@@ -205,13 +210,16 @@ def involution_to_path(p: Permutation) -> LabeledMotzkinPath:
             k = bisect_left(opens, j)
             labels.append(len(opens) - 1 - k)
             del opens[k]
-    return LabeledMotzkinPath("".join(steps), tuple(labels))
+    word = str.__new__(MotzkinWord, "".join(steps))
+    return LabeledMotzkinPath._trusted(word, tuple(labels))
 
 
 def path_to_involution(m: LabeledMotzkinPath) -> Permutation:
     """Constructive inverse of ``involution_to_path``: scanning left to
     right, U opens a cycle, H fixes its position, and a D labeled h closes
-    the (h+1)-th largest open opener."""
+    the (h+1)-th largest open opener.  The label bounds keep that opener in
+    range and every position is written once, so the word is a permutation
+    without re-checking it."""
     word = [0] * m.n
     opens: list[int] = []
     labels = iter(m.labels)
@@ -223,7 +231,7 @@ def path_to_involution(m: LabeledMotzkinPath) -> Permutation:
         else:
             j = opens.pop(-(next(labels) + 1))
             word[i - 1], word[j - 1] = j, i
-    return Permutation(word)
+    return Permutation._trusted(word)
 
 
 def motzkin_to_perm(w: MotzkinWord) -> Permutation:

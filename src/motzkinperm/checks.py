@@ -82,8 +82,8 @@ from .series import SeriesRing, TruncatedSeries, fixed_point_solve, solve_quadra
 
 #: Ceiling on nmax for the suites that walk all of S_n (bijection and
 #: diagram).  Their time grows about tenfold per n: on a 2-CPU machine
-#: (Python 3.11) each takes about 1.3 s at nmax 8 and 10-16 s at nmax 9, so
-#: nmax 12 would run for hours.
+#: (Python 3.11) each takes 0.5-0.9 s at nmax 8 and about 6.6 s at nmax 9,
+#: so nmax 12 would run for hours.
 ALL_PERMUTATIONS_BOUND = 9
 #: Ceiling on the random factor families of the cluster suite: about 10 s at
 #: the largest order and nmax it accepts.  ``check_cluster_engine(order=30,

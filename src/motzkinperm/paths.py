@@ -259,6 +259,16 @@ class LabeledMotzkinPath:
             if not 0 <= label <= h:
                 raise ValueError(f"label {label} of D #{k + 1} exceeds its height {h}")
 
+    @classmethod
+    def _trusted(cls, word: MotzkinWord, labels: tuple[int, ...]) -> "LabeledMotzkinPath":
+        """The path (word, labels) without the scan and the label checks,
+        for a builder whose word is an exact ``MotzkinWord`` and whose
+        labels are a tuple, one per D, each within the D's height."""
+        path = object.__new__(cls)
+        object.__setattr__(path, "word", word)
+        object.__setattr__(path, "labels", labels)
+        return path
+
     @property
     def n(self) -> int:
         return len(self.word)
@@ -275,8 +285,11 @@ class LabeledMotzkinPath:
 
     @classmethod
     def parse(cls, text: str) -> "LabeledMotzkinPath":
+        """Read the inline form of ``__str__``.  Every D carries its label;
+        a D without one is refused by its 1-based position in the text."""
         steps = []
         labels = []
+        unlabeled = []
         i = 0
         text = text.strip()
         while i < len(text):
@@ -287,9 +300,15 @@ class LabeledMotzkinPath:
                 j = i
                 while j < len(text) and text[j].isdecimal():
                     j += 1
-                labels.append(int(text[i:j]) if j > i else 0)
+                if j > i:
+                    labels.append(int(text[i:j]))
+                else:
+                    unlabeled.append(i)
                 i = j
-        return cls(MotzkinWord("".join(steps)), tuple(labels))
+        word = MotzkinWord("".join(steps))
+        if unlabeled:
+            raise ValueError(f"missing label on D at position {unlabeled[0]} in {text!r}")
+        return cls(word, tuple(labels))
 
     def to_json_dict(self) -> dict:
         return {"steps": str(self.word), "labels": list(self.labels)}
@@ -334,6 +353,17 @@ class LaguerreHistory:
                     f"the bound {history_label_bound(ch, h)} (height {h})"
                 )
 
+    @classmethod
+    def _trusted(cls, word: BicoloredMotzkinWord, labels: tuple[int, ...]) -> "LaguerreHistory":
+        """The history (word, labels) without the scan and the label
+        checks, for a builder whose word is an exact
+        ``BicoloredMotzkinWord`` and whose labels are a tuple, one per
+        step, each within ``history_label_bound``."""
+        history = object.__new__(cls)
+        object.__setattr__(history, "word", word)
+        object.__setattr__(history, "labels", labels)
+        return history
+
     @property
     def n(self) -> int:
         return len(self.word)
@@ -376,11 +406,13 @@ def history_to_labeled(h: LaguerreHistory) -> LabeledMotzkinPath:
 
 
 def labeled_to_history(m: LabeledMotzkinPath) -> LaguerreHistory:
+    """The history of a labeled path: its word, its D labels, 0 elsewhere.
+    A D's history bound is its height, as on the path."""
     labels = []
     it = iter(m.labels)
     for ch in m.word:
         labels.append(next(it) if ch == "D" else 0)
-    return LaguerreHistory(str(m.word), tuple(labels))
+    return LaguerreHistory._trusted(str.__new__(BicoloredMotzkinWord, m.word), tuple(labels))
 
 
 def _words(n: int, alphabet: str, cls: type[str]) -> Iterator:
@@ -419,7 +451,7 @@ def enumerate_labeled(n: int) -> Iterator[LabeledMotzkinPath]:
     for word in enumerate_motzkin(n):
         d_heights = [h for ch, h in zip(word, height_list(word)) if ch == "D"]
         for labels in itertools.product(*(range(h + 1) for h in d_heights)):
-            yield LabeledMotzkinPath(word, labels)
+            yield LabeledMotzkinPath._trusted(word, labels)
 
 
 def enumerate_histories(n: int) -> Iterator[LaguerreHistory]:
@@ -428,7 +460,7 @@ def enumerate_histories(n: int) -> Iterator[LaguerreHistory]:
         heights = height_list(word)
         ranges = (range(history_label_bound(ch, h) + 1) for ch, h in zip(word, heights))
         for labels in itertools.product(*ranges):
-            yield LaguerreHistory(word, labels)
+            yield LaguerreHistory._trusted(word, labels)
 
 
 def path_series(ring: SeriesRing, step: Callable, start: Hashable = "") -> TruncatedSeries:

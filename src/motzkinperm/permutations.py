@@ -45,6 +45,12 @@ class Permutation(tuple):
             raise ValueError(f"not a permutation of 1..{len(word)}: {word!r}")
         return super().__new__(cls, word)
 
+    @classmethod
+    def _trusted(cls, word: Iterable[int]) -> "Permutation":
+        """The permutation ``word`` without the check of ``Permutation``,
+        for a builder that has placed each of 1..n exactly once."""
+        return tuple.__new__(cls, word)
+
     @property
     def n(self) -> int:
         return len(self)
@@ -251,7 +257,7 @@ def enumerate_permutations(n: int) -> Iterator[Permutation]:
     if n > ENUMERATION_BOUND:
         raise BoundExceededError(n, ENUMERATION_BOUND, "permutation enumeration")
     for word in itertools.permutations(range(1, n + 1)):
-        yield Permutation(word)
+        yield Permutation._trusted(word)
 
 
 def enumerate_involutions(n: int) -> Iterator[Permutation]:
@@ -285,7 +291,7 @@ def _place(
     a reference cycle, which only the cyclic garbage collector frees."""
     i = len(word) + 1
     if i > n:
-        yield Permutation(word)
+        yield Permutation._trusted(word)
         return
     if involutions and position[i]:
         choices: Iterable[int] = (position[i],)

@@ -84,6 +84,7 @@ def test_map_parse_error_is_usage(capsys):
         ("gamma", "1,x", "cannot parse permutation from '1,x'"),
         ("gamma", "²", "cannot parse permutation from '²'"),
         ("psi-inv", "UD²", "invalid step '²' at position 3 in 'UD²'"),
+        ("psi-inv", "UUDD", "missing label on D at position 3 in 'UUDD'"),
         ("foata", "(1,)", "cannot parse cycle form from '(1,)'"),
         ("foata", "()", "cannot parse cycle form from '()'"),
         ("gamma-inv", "UD | l=0,x", "cannot parse history from 'UD | l=0,x'"),

@@ -215,6 +215,10 @@ def test_labeled_path_parse_and_render():
         LabeledMotzkinPath(MotzkinWord("UD"), (1,))  # label exceeds height 0
     with pytest.raises(ValueError):
         LabeledMotzkinPath(MotzkinWord("UD"), ())  # missing label
+    for text, position in (("UD", 2), ("UUDD", 3), ("UUD1D", 5), (" UUD0DH ", 5)):
+        message = f"missing label on D at position {position} in '{text.strip()}'"
+        with pytest.raises(ValueError, match=message):
+            LabeledMotzkinPath.parse(text)
 
 
 def test_history_parse_and_render():
