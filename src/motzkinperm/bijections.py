@@ -49,7 +49,7 @@ from .paths import (
     subword_count,
     tunnels,
 )
-from .patterns import PatternSpec, avoids, occurrences
+from .patterns import PatternSpec, avoids, enumerate_class, occurrences
 from .permutations import (
     CycleForm,
     Permutation,
@@ -335,43 +335,46 @@ class DiagramReport:
         return not self.failures
 
 
-def check_diagram(
-    n: int,
-    *,
-    history_map=perm_to_history,
-    path_map=involution_to_path,
-    foata_map=foata_of,
-) -> DiagramReport:
+def check_diagram(n: int, *, path_map=involution_to_path) -> DiagramReport:
     """Verify, exhaustively at size n, that the triangle of maps commutes
-    and that the image characterizations hold:
+    and that each image characterization holds as a set equality against
+    a class enumerator:
 
-    1. path_map = history_map after foata_map on involutions;
-    2. the histories of the class avoiding 1_32 and 1_23 are exactly the
-       labeled Motzkin paths (no second color, labels only on D steps);
-    3. a permutation avoids 132 exactly when its history labels vanish;
-    4. the paths of 3412-avoiding involutions are exactly the zero-labeled
-       Motzkin paths.
+    1. path_map = perm_to_history after foata_of on involutions;
+    2. the permutations whose history has the labeled-path shape (no T,
+       labels only on D) are the class avoiding 1_32 and 1_23, and their
+       histories are exactly the labeled Motzkin paths;
+    3. those whose history labels all vanish are the class avoiding 132;
+    4. the involutions whose path labels all vanish are the class avoiding
+       3412, and their paths are exactly the Motzkin words.
 
-    The map arguments exist so a deliberately broken map can be fed in to
-    confirm the checker reports it.
+    A failed equality names the least permutation on one side only.
+    ``path_map`` is the one injection point: a test feeds in a broken map
+    to confirm the checker reports it.
     """
     failures: list[str] = []
     checked = 0
 
+    def compare(found: set, patterns: tuple, base: str, what: str) -> None:
+        expected = set(enumerate_class(n, patterns, base))
+        if found != expected:
+            failures.append(f"{what} characterization fails for {min(found ^ expected)}")
+
+    labeled_shape: set[Permutation] = set()
+    zero_labels: set[Permutation] = set()
     class_histories: set[LaguerreHistory] = set()
     for p in enumerate_permutations(n):
         checked += 1
-        h = history_map(p)
-        in_class = avoids(p, VINCULAR_132) and avoids(p, VINCULAR_123)
-        labeled_shape = "T" not in h.word and all(
+        h = perm_to_history(p)
+        if "T" not in h.word and all(
             label == 0 or ch == "D" for ch, label in zip(h.word, h.labels)
-        )
-        if in_class != labeled_shape:
-            failures.append(f"history-shape characterization fails for {p}: {h}")
-        if in_class:
+        ):
+            labeled_shape.add(p)
             class_histories.add(h)
-        if avoids(p, CLASSICAL_132) != all(v == 0 for v in h.labels):
-            failures.append(f"zero-label characterization fails for {p}: {h}")
+        if not any(h.labels):
+            zero_labels.add(p)
+    compare(labeled_shape, (VINCULAR_132, VINCULAR_123), "all", "history-shape")
+    compare(zero_labels, (CLASSICAL_132,), "all", "zero-label")
 
     all_labeled = {labeled_to_history(m) for m in enumerate_labeled(n)}
     if class_histories != all_labeled:
@@ -380,21 +383,18 @@ def check_diagram(
             f"{len(class_histories)} vs {len(all_labeled)}"
         )
 
-    motzkin_words = set(enumerate_motzkin(n))
+    zero_involutions: set[Permutation] = set()
     zero_paths = set()
     for p in enumerate_involutions(n):
         checked += 1
         direct = path_map(p)
-        via = history_map(foata_map(p))
-        if labeled_to_history(direct) != via:
+        if labeled_to_history(direct) != perm_to_history(foata_of(p)):
             failures.append(f"triangle does not commute for involution {p}")
-        in_restricted = avoids(p, CLASSICAL_3412)
-        zero = all(v == 0 for v in direct.labels)
-        if in_restricted != zero:
-            failures.append(f"3412 / zero-label characterization fails for {p}")
-        if in_restricted:
+        if not any(direct.labels):
+            zero_involutions.add(p)
             zero_paths.add(direct.word)
-    if zero_paths != motzkin_words:
+    compare(zero_involutions, (CLASSICAL_3412,), "involutions", "3412 / zero-label")
+    if zero_paths != set(enumerate_motzkin(n)):
         failures.append(f"restricted image differs from Motzkin words at n={n}")
 
     return DiagramReport(n, checked, tuple(failures))

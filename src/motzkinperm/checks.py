@@ -82,8 +82,8 @@ from .series import SeriesRing, TruncatedSeries, fixed_point_solve, solve_quadra
 
 #: Ceiling on nmax for the suites that walk all of S_n (bijection and
 #: diagram).  Their time grows about tenfold per n: on a 2-CPU machine
-#: (Python 3.11) each takes 0.5-0.9 s at nmax 8 and about 6.6 s at nmax 9,
-#: so nmax 12 would run for hours.
+#: (Python 3.11) ``bijection`` takes 0.8-0.9 s at nmax 8 and 6-8 s at nmax
+#: 9, ``diagram`` 0.4-0.7 s and about 4.6 s, so nmax 12 would run for hours.
 ALL_PERMUTATIONS_BOUND = 9
 #: Ceiling on the random factor families of the cluster suite: about 10 s at
 #: the largest order and nmax it accepts.  ``check_cluster_engine(order=30,
@@ -435,7 +435,7 @@ def check_series_engine(trials: int = 40, seed: int = 7) -> list[str]:
         if qa * root * root + qb * root + one != ring.zero():
             failures.append("quadratic residual does not vanish")
 
-    # The draws have integer coefficients; one denominator reaches invert's rescale.
+    # The draws have integer coefficients; this one takes invert through fractions.
     u = one + ring.monomial(Fraction(1, 3), 1, t=1) - ring.monomial(Fraction(1, 2), 2, z=1)
     if u * u.invert() != one or u.sqrt() ** 2 != u:
         failures.append(f"inversion or sqrt fails for {u!r}")

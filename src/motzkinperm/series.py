@@ -266,35 +266,26 @@ class TruncatedSeries:
         nonzero rational constant free of auxiliary variables.
 
         Solved degree by degree with the reciprocal recurrence
-        g_0 = 1, g_n = -sum_{k=1..n} a_k g_{n-k} for a = self/c_0, where
-        a_k is the auxiliary-variable polynomial at x^k.  With d a common
-        denominator of a, the recurrence runs on the integer series a(d*x),
-        whose x^n coefficient is (d a_n) d^(n-1), and divides by c_0 d^n at
-        the end; with integer coefficients and c_0 = +-1 that divisor is
-        c_0 itself and every result is an int.
+        g_0 = 1/c_0, g_n = -(1/c_0) sum_{k=1..n} a_k g_{n-k}, where a_k is
+        the auxiliary-variable polynomial at x^k; with integer coefficients
+        and c_0 = +-1 every g_n is an int.
         """
         c0 = self.constant_term()
         if c0 == 0 or self._has_auxiliary_constant():
             raise ValueError("invert needs a nonzero constant term free of auxiliaries")
         ring, shift = self.ring, self.ring._x_shift
-        v = self.terms if c0 == 1 else {k: _norm(Fraction(c) / c0) for k, c in self.terms.items()}
-        d, cleared = _clear_denominators(v)
-        a: list[list[tuple[int, int]]] = [[] for _ in range(ring.order + 1)]
-        for k, c in cleared.items():
-            n = k >> shift
-            if n:
-                a[n].append((k, c * d ** (n - 1)))
-        g: list[dict[int, int]] = [{0: 1}]
+        recip = _norm(1 / Fraction(c0))
+        a: list[list[tuple[int, Coefficient]]] = [[] for _ in range(ring.order + 1)]
+        for k, c in self.terms.items():
+            if k >> shift:
+                a[k >> shift].append((k, c))
+        g: list[dict[int, Coefficient]] = [{0: recip}]
         for n in range(1, ring.order + 1):
-            acc: dict[int, int] = {}
+            acc: dict[int, Coefficient] = {}
             for k in range(1, n + 1):
                 _subtract_products(acc, a[k], g[n - k].items())
-            g.append(ring._checked({key: c for key, c in acc.items() if c}))
-        if d == 1 and c0 in (1, -1):
-            terms = {k: c * c0 for gn in g for k, c in gn.items()}
-        else:
-            terms = {k: _norm(Fraction(c, c0 * d ** (k >> shift))) for gn in g for k, c in gn.items()}
-        return _series(ring, terms)
+            g.append(ring._checked({key: _norm(c * recip) for key, c in acc.items() if c}))
+        return _series(ring, {k: c for gn in g for k, c in gn.items()})
 
     def sqrt(self) -> "TruncatedSeries":
         """Square root with constant term +1; requires constant term 1.

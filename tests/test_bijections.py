@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from motzkinperm import bijections
 from motzkinperm.bijections import (
     CONSECUTIVE_OF_WINDOW,
     VINCULAR_123,
@@ -215,6 +216,27 @@ def test_check_diagram_reports_injected_fault():
     report = check_diagram(4, path_map=broken)
     assert not report.ok
     assert any("commute" in f or "zero-label" in f for f in report.failures)
+
+
+def test_check_diagram_names_least_permutation_off_the_class():
+    # UUD0D0 is the path of 4321; sent from 3412 it puts 3412 among the
+    # zero-labeled involutions, which the 3412-avoiding class lacks
+    def broken(p):
+        if p == Permutation.parse("3412"):
+            return LabeledMotzkinPath.parse("UUD0D0")
+        return involution_to_path(p)
+
+    report = check_diagram(4, path_map=broken)
+    assert "3412 / zero-label characterization fails for 3 4 1 2" in report.failures
+
+
+def test_check_diagram_runs_no_matcher_per_permutation(monkeypatch):
+    def refuse(p, t):
+        raise AssertionError(f"matcher called on {p}")
+
+    monkeypatch.setattr(bijections, "avoids", refuse)
+    report = check_diagram(6)
+    assert report.ok and report.checked == 720 + 76
 
 
 ROLE_STEP = {"head": "U", "tail": "D", "head-tail": "H", "boarder": "T"}
