@@ -59,7 +59,6 @@ from .permutations import (
     fix_count,
     inv_count,
     is_involution,
-    standard_cycles,
     validate_standard_cycles,
 )
 
@@ -154,10 +153,19 @@ def foata(cycles: CycleForm) -> Permutation:
 
 
 def foata_of(p: Permutation) -> Permutation:
-    """``foata`` applied to the standard cycle form of an involution."""
+    """``foata`` applied to the standard cycle form of an involution, in
+    one sweep down from n: each value that leads its cycle (a fixed point,
+    or the smaller value of a 2-cycle) is written, then its partner."""
     if not is_involution(p):
         raise ValueError(f"{p} is not an involution")
-    return foata(standard_cycles(p))
+    word = []
+    for i in range(len(p), 0, -1):
+        j = p[i - 1]
+        if j >= i:
+            word.append(i)
+            if j > i:
+                word.append(j)
+    return Permutation._trusted(word)
 
 
 def foata_inverse(p: Permutation) -> CycleForm:

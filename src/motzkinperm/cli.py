@@ -178,8 +178,7 @@ def _cmd_gf(args: argparse.Namespace) -> int:
     if assignments:
         series = series.evaluate(**assignments)
     if args.format == "json":
-        payload = {str(n): series.format_coefficient(n) for n in range(series.ring.order + 1)}
-        print(json.dumps(payload))
+        print(json.dumps({str(n): text for n, text in enumerate(series.format_coefficients())}))
     else:
         print(str(series))
     return 0

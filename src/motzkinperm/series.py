@@ -58,6 +58,23 @@ def _clear_denominators(
     }
 
 
+def _merge(a: Mapping[int, Coefficient], b: Mapping[int, Coefficient]) -> Mapping[int, Coefficient]:
+    """The sum of two term dicts, without zero terms; an empty one gives
+    the other back as it is."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = dict(a)
+    for k, v in b.items():
+        s = out.get(k, 0) + v
+        if s == 0:
+            del out[k]
+        else:
+            out[k] = _norm(s)
+    return out
+
+
 def _subtract_products(acc: dict, left: Collection, right: Collection) -> None:
     """acc -= (sum of the left terms) * (sum of the right terms), over
     (packed key, coefficient) pairs."""
@@ -191,14 +208,7 @@ class TruncatedSeries:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, 0) + v
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = _norm(s)
-        return _series(self.ring, out)
+        return _series(self.ring, _merge(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -364,6 +374,16 @@ class TruncatedSeries:
 
     # -- extraction and rendering --------------------------------------------
 
+    def _by_degree(self) -> dict[int, dict[tuple[int, ...], Coefficient]]:
+        """The nonzero coefficients by ascending x-degree, each a dict from
+        ascending auxiliary exponent vectors to rationals: the one pass over
+        the terms that the renderers and ``to_json_dict`` share."""
+        ring, out = self.ring, {}
+        for k in sorted(self.terms):
+            x, *exps = ring._unpack(k)
+            out.setdefault(x, {})[tuple(exps)] = self.terms[k]
+        return out
+
     def coefficient(self, x_degree: int, at: Mapping[str, Coefficient] | None = None):
         """The coefficient of x**x_degree: a dict from auxiliary exponent
         vectors to rationals, or a single rational when ``at`` evaluates
@@ -381,8 +401,13 @@ class TruncatedSeries:
     def format_coefficient(self, x_degree: int) -> str:
         return format_poly(self.coefficient(x_degree), self.ring.vars)
 
+    def format_coefficients(self) -> list[str]:
+        """``format_coefficient`` of every x-degree 0..order, from one pass."""
+        polys = self._by_degree()
+        return [format_poly(polys.get(n, {}), self.ring.vars) for n in range(self.ring.order + 1)]
+
     def __str__(self) -> str:
-        lines = [f"[n={d}] {self.format_coefficient(d)}" for d in self.x_degrees()]
+        lines = [f"[n={d}] {format_poly(poly, self.ring.vars)}" for d, poly in self._by_degree().items()]
         return "\n".join(lines) if lines else "[0]"
 
     def __repr__(self) -> str:
@@ -390,11 +415,10 @@ class TruncatedSeries:
 
     def to_json_dict(self) -> dict:
         """Exponent-vector export: {"x^n": {"e1,e2": coefficient}}."""
-        out: dict[str, dict[str, str | int]] = {}
-        for k, v in sorted(self.terms.items()):
-            exps = self.ring._unpack(k)
-            degree = out.setdefault(str(exps[0]), {})
-            degree[",".join(str(e) for e in exps[1:])] = v if isinstance(v, int) else str(v)
+        out = {
+            str(n): {",".join(map(str, exps)): v if isinstance(v, int) else str(v) for exps, v in poly.items()}
+            for n, poly in self._by_degree().items()
+        }
         return {"order": self.ring.order, "vars": list(self.ring.vars), "coefficients": out}
 
 
@@ -409,9 +433,9 @@ def _series(ring: SeriesRing, terms: dict[int, Coefficient]) -> TruncatedSeries:
 class LazySeries:
     """A series of ``ring`` whose x^n coefficient, a dict over packed
     auxiliary keys, ``coeff(n)`` computes on request: a lifted constant, a
-    sum, a product or a rescale x -> x*m (``rescale_x``).  ``val``
-    is a lower bound of its x-valuation.  Only product operands keep their
-    coefficients; the rest recompute them."""
+    sum, a rational multiple, a product or a rescale x -> x*m
+    (``rescale_x``).  ``val`` is a lower bound of its x-valuation.  Only
+    product operands keep their coefficients; the rest recompute them."""
 
     __slots__ = ("ring", "coeff", "val")
 
@@ -427,9 +451,8 @@ class LazySeries:
         return LazySeries(self.ring, lambda n: groups.get(n, {}), min(groups, default=self.ring.order + 1))
 
     def __add__(self, other) -> "LazySeries":
-        ring, other = self.ring, self._lift(other)
-        return LazySeries(ring, lambda n: (_series(ring, self.coeff(n)) + _series(ring, other.coeff(n))).terms,
-                          min(self.val, other.val))
+        other = self._lift(other)
+        return LazySeries(self.ring, lambda n: _merge(self.coeff(n), other.coeff(n)), min(self.val, other.val))
 
     __radd__ = __add__
     __sub__ = lambda self, other: self + -other
@@ -437,11 +460,19 @@ class LazySeries:
     __neg__ = lambda self: self * -1
 
     def __mul__(self, other) -> "LazySeries":
-        """Pairs below either factor's valuation are skipped; each other pair
-        at degree n asks first for the factor coefficient of lower degree (on
-        the tie at degree 0, ``other``'s) and skips the pair when it is zero:
-        so x-valuation >= 1 keeps F_n off F_n.  Guard bits are checked as in
-        the eager product."""
+        """A rational factor scales each coefficient: 1 gives self back and
+        0 the zero series.  In a product, pairs below either factor's
+        valuation are skipped; each other pair at degree n asks first for
+        the factor coefficient of lower degree (on the tie at degree 0,
+        ``other``'s) and skips the pair when it is zero: so x-valuation
+        >= 1 keeps F_n off F_n.  Guard bits are checked as in the eager
+        product."""
+        if isinstance(other, (int, Fraction)):
+            if other == 1:
+                return self
+            if other == 0:
+                return self._lift(0)
+            return LazySeries(self.ring, lambda n: {k: _norm(v * other) for k, v in self.coeff(n).items()}, self.val)
         a, b = self._lift(other), self
         fa, fb = cache(a.coeff), cache(b.coeff)
 

@@ -37,6 +37,7 @@ from motzkinperm.permutations import (
     identity,
     parse_cycles,
     run_anatomy,
+    standard_cycles,
 )
 
 SPEC_3412 = PatternSpec.parse("3412")
@@ -82,6 +83,22 @@ def test_foata_examples():
     assert str(foata(parse_cycles("(6)(5,8)(3)(2,7)(1,4)"))) == "6 5 8 3 2 7 1 4"
     assert str(foata(parse_cycles("(6)(4,8)(3,7)(2)(1,5)"))) == "6 4 8 3 7 2 1 5"
     assert foata(parse_cycles("(4)(3)(2)(1)")) == Permutation.parse("4321")
+
+
+def test_foata_of_erases_the_standard_cycle_form():
+    rng = random.Random(3)
+    large = []
+    for n in (50, 300):
+        values = rng.sample(range(1, n + 1), n)
+        word = list(range(1, n + 1))
+        for a, b in zip(values[: n // 2 : 2], values[1 : n // 2 : 2]):
+            word[a - 1], word[b - 1] = b, a
+        large.append(Permutation(word))
+    for n in range(9):
+        for p in enumerate_involutions(n):
+            assert foata_of(p) == foata(standard_cycles(p))
+    for p in large:
+        assert foata_of(p) == foata(standard_cycles(p))
 
 
 def test_foata_rejects_bad_cycles():

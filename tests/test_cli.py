@@ -1,6 +1,10 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -413,3 +417,25 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["map", "--via", "bogus", "1 2 3"])
     assert exc.value.code == 2
+
+
+def test_main_in_one_process_prints_what_separate_processes_print(capsys):
+    commands = [
+        ["gf", "--name", "weak_valley", "--N", "5", "--format", "text"],
+        ["gf", "--name", "cluster", "--S", "HU,DU", "--N", "4"],
+    ]
+    in_process = [run(capsys, *commands[0])]
+    with pytest.raises(SystemExit) as exc:
+        main(["gf", "--N", "5"])  # --name is required
+    assert exc.value.code == 2
+    capsys.readouterr()
+    in_process += [run(capsys, *argv) for argv in (*commands, commands[0])]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    separate = []
+    for argv in (commands[0], *commands, commands[0]):
+        result = subprocess.run([sys.executable, "-m", "motzkinperm.cli", *argv], env=env,
+                                capture_output=True, text=True, timeout=60)
+        separate.append((result.returncode, result.stdout, result.stderr))
+    assert in_process == separate
+    assert in_process[0][0] == 0 and in_process[0][1].startswith("[n=0] 1\n")

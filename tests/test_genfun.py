@@ -391,3 +391,15 @@ def test_distribution_oracle_subword_stats():
 def test_empty_class_size():
     table = distribution_oracle("S(132,1_23)", ("des",), 0)
     assert table.counts == {(0,): 1}
+
+
+def test_named_series_keep_int_coefficients():
+    # the series have integer coefficients; a Fraction with denominator 1
+    # equals its int, so equality alone would not see one left unnormed
+    from motzkinperm.cli import GF_FUNCTIONS
+
+    for name, build in GF_FUNCTIONS.items():
+        assert all(type(c) is int for c in build(12).terms.values()), name
+    for family in ("HHH,HHU,DHH,DHU", "HU,DU"):
+        series = cluster_count_gf(ClusterSpec.parse(family), 12)
+        assert all(type(c) is int for c in series.terms.values()), family

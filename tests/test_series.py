@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from operator import add
 
@@ -10,6 +11,7 @@ from motzkinperm.genfun import inv_des_fix_gf
 from motzkinperm.paths import motzkin_number
 from motzkinperm.series import (
     MAX_EXPONENT,
+    LazySeries,
     SeriesRing,
     TruncatedSeries,
     continued_fraction,
@@ -226,6 +228,15 @@ def test_solve_quadratic_catalan():
     assert [f.coefficient(n, at={}) for n in range(9)] == [1, 0, 1, 0, 2, 0, 5, 0, 14]
 
 
+@pytest.mark.parametrize("b0", [1, -1])
+def test_solve_quadratic_keeps_int_coefficients(b0):
+    # the root of x*F^2 + b0*F - 1 = 0 scales by -1/b0, a Fraction equal to
+    # an int, which must not leave Fractions in the root
+    ring = SeriesRing(10, ("t",))
+    root = solve_quadratic(ring.x() * ring.var("t"), ring.const(b0), -1)
+    assert root.terms and all(type(c) is int for c in root.terms.values())
+
+
 def test_solve_quadratic_linear_case():
     ring = SeriesRing(5, ())
     f = solve_quadratic(ring.zero(), ring.const(-1) + ring.x(), ring.one())
@@ -315,6 +326,55 @@ def test_lazy_product_overflow_raises():
     with pytest.raises(InvariantError, match="exceeds"):
         fixed_point_solve(phi, ring)
     assert len(calls) == 1  # raised by a lazy product, before the eager check
+
+
+def test_lazy_product_overflow_raises_through_scalar_and_sum_nodes():
+    ring = SeriesRing(3, ("y",))
+    heavy = ring.monomial(1, 1, y=MAX_EXPONENT // 2 + 1)
+    calls = []
+
+    def phi(g):
+        calls.append(g)
+        return -(heavy * g * g) * Fraction(3, 4) + 1
+
+    with pytest.raises(InvariantError, match="exceeds"):
+        fixed_point_solve(phi, ring)
+    assert len(calls) == 1
+
+
+def as_lazy(s: TruncatedSeries) -> LazySeries:
+    return LazySeries(s.ring, lambda n: {}, s.ring.order + 1)._lift(s)
+
+
+def materialized(f: LazySeries) -> dict:
+    """Every coefficient of a lazy series, as packed eager terms."""
+    shift = f.ring._x_shift
+    return {k + (n << shift): v for n in range(f.ring.order + 1) for k, v in f.coeff(n).items()}
+
+
+def random_series(rng: random.Random, ring: SeriesRing) -> TruncatedSeries:
+    terms = {}
+    for _ in range(rng.randint(0, 12)):
+        key = (rng.randint(0, ring.order), rng.randint(0, 3), rng.randint(0, 3))
+        terms[key] = rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
+    return TruncatedSeries(ring, terms)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_lazy_scalar_and_sum_nodes_match_eager(seed):
+    # the terms dicts are compared, types included, so a zero coefficient
+    # kept or an integral Fraction left unnormed fails
+    rng = random.Random(seed)
+    a, b = random_series(rng, RING), random_series(rng, RING)
+    la, lb = as_lazy(a), as_lazy(b)
+    cases = [(la * c, a * c) for c in (0, 1, -1, Fraction(3, 4), Fraction(4, 2))]
+    cases += [(Fraction(3, 4) * la, a * Fraction(3, 4)), (la + lb, a + b), (la - lb, a - b), (-la, -a)]
+    cases += [(la + b, a + b), (1 - la, 1 - a), (la + la * -1, RING.zero())]
+    for lazy, eager in cases:
+        got = materialized(lazy)
+        assert got == eager.terms
+        assert [type(v) for v in got.values()] == [type(v) for v in (eager.terms[k] for k in got)]
+    assert la * 1 is la
 
 
 def test_lazy_series_takes_only_a_rescale_of_x():

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import motzkinperm
 from motzkinperm.bijections import (
+    foata_of,
     history_to_perm,
     involution_to_path,
     path_to_involution,
@@ -80,6 +81,7 @@ def test_maps_build_validated_objects(word, involution):
     path = involution_to_path(involution)
     assert_validated(path)
     assert_validated(path_to_involution(LabeledMotzkinPath.parse(str(path))))
+    assert_validated(foata_of(involution))
 
 
 CLASS_SPECS = [PatternSpec.parse(t) for t in ("132", "_123", "1_32", "1_23", "3412", "2_13")]
@@ -106,6 +108,7 @@ TRUSTED_BUILDERS = {
     ("Permutation", "permutations._place"),
     ("Permutation", "bijections.history_to_perm"),
     ("Permutation", "bijections.path_to_involution"),
+    ("Permutation", "bijections.foata_of"),
     ("LaguerreHistory", "bijections.perm_to_history"),
     ("LaguerreHistory", "paths.labeled_to_history"),
     ("LaguerreHistory", "paths.enumerate_histories"),
