@@ -44,7 +44,7 @@ print()
 
 print("Over the class avoiding 132 and consecutive 123, coinversions become")
 print("area and descents become tunnels minus one:")
-table = distribution_oracle("S(132,1_23)", ("coinv", "des"), 5)
+table = distribution_oracle("S(132,_123)", ("coinv", "des"), 5)
 for key, count in table.rows():
     print(f"  coinv={key[0]} des={key[1]}  count {count}")
 print(f"  total {table.total()} (M_5 = 21)")

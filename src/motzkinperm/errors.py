@@ -4,11 +4,10 @@ from __future__ import annotations
 
 
 class BoundExceededError(ValueError):
-    """An enumeration request exceeds a fixed safety bound.
-
-    Exhaustive enumeration is meant for desk-scale verification; anything
-    past the bound would silently take hours, so we refuse instead.  The
-    bounds are constants; no argument or environment variable raises them.
+    """A request exceeds a fixed safety bound: an enumeration size, a
+    series order or a count of random factor sets.  Anything past the
+    bound would silently take hours, so we refuse instead.  The bounds
+    are constants; no argument or environment variable raises them.
     """
 
     def __init__(self, n: int, bound: int, what: str = "enumeration"):

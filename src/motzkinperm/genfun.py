@@ -403,6 +403,7 @@ def cluster_count_gf(spec: ClusterSpec, order: int) -> TruncatedSeries:
     weighing (t - 1)^k; a step is taken only where the path stays at or
     above 0 inside it and can still return to 0 by the order.
     """
+    ring = _pattern_ring(order)  # refuses a negative order before the DP
     base = order + 1  # t^i z^j packed as i * base + j; no exponent passes the order
     steps = {(1, 1, 0): {0: 1}, (1, -1, -1): {0: 1}, (1, 0, 0): {1: 1}}
     for (length, net, low, marks, h), count in cluster_gfs(spec, order).items():
@@ -426,7 +427,7 @@ def cluster_count_gf(spec: ClusterSpec, order: int) -> TruncatedSeries:
                 for k1, c1 in poly.items():
                     for k2, c2 in weight.items():
                         target[k1 + k2] = target.get(k1 + k2, 0) + c1 * c2
-    return TruncatedSeries(_pattern_ring(order), terms)
+    return TruncatedSeries(ring, terms)
 
 
 #: The factor families realizing consecutive 123 and 132 over involutions.

@@ -236,10 +236,39 @@ def first_return_reassemble(parts) -> MotzkinWord:
     return MotzkinWord("U" + parts[1] + "D" + parts[2])
 
 
+class _LabeledWord:
+    """A step word with a tuple of labels: what a labeled Motzkin path and
+    a Laguerre history share.  Each subclass, a frozen dataclass, validates
+    its own fields and names its word type in ``_word_type``, which checks
+    the steps of ``from_json_dict`` before its labels are read."""
+
+    @classmethod
+    def _trusted(cls, word: BicoloredMotzkinWord, labels: tuple[int, ...]):
+        """The record (word, labels) without the scan and the label checks,
+        for a builder whose word is an exact ``cls._word_type`` and whose
+        labels are a tuple that ``__post_init__`` would accept."""
+        record = object.__new__(cls)
+        object.__setattr__(record, "word", word)
+        object.__setattr__(record, "labels", labels)
+        return record
+
+    @property
+    def n(self) -> int:
+        return len(self.word)
+
+    def to_json_dict(self) -> dict:
+        return {"steps": str(self.word), "labels": list(self.labels)}
+
+    @classmethod
+    def from_json_dict(cls, data: dict):
+        return cls(cls._word_type(data["steps"]), tuple(data["labels"]))
+
+
 @dataclass(frozen=True)
-class LabeledMotzkinPath:
+class LabeledMotzkinPath(_LabeledWord):
     """Motzkin word whose D steps carry labels not exceeding their heights."""
 
+    _word_type = MotzkinWord
     word: MotzkinWord
     labels: tuple[int, ...]
 
@@ -258,20 +287,6 @@ class LabeledMotzkinPath:
         for k, (label, h) in enumerate(zip(self.labels, d_heights)):
             if not 0 <= label <= h:
                 raise ValueError(f"label {label} of D #{k + 1} exceeds its height {h}")
-
-    @classmethod
-    def _trusted(cls, word: MotzkinWord, labels: tuple[int, ...]) -> "LabeledMotzkinPath":
-        """The path (word, labels) without the scan and the label checks,
-        for a builder whose word is an exact ``MotzkinWord`` and whose
-        labels are a tuple, one per D, each within the D's height."""
-        path = object.__new__(cls)
-        object.__setattr__(path, "word", word)
-        object.__setattr__(path, "labels", labels)
-        return path
-
-    @property
-    def n(self) -> int:
-        return len(self.word)
 
     def __str__(self) -> str:
         """Inline form with each label right after its D, e.g. "UUHUD1D1HD0"."""
@@ -310,13 +325,6 @@ class LabeledMotzkinPath:
             raise ValueError(f"missing label on D at position {unlabeled[0]} in {text!r}")
         return cls(word, tuple(labels))
 
-    def to_json_dict(self) -> dict:
-        return {"steps": str(self.word), "labels": list(self.labels)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "LabeledMotzkinPath":
-        return cls(MotzkinWord(data["steps"]), tuple(data["labels"]))
-
 
 def history_label_bound(step: str, height: int) -> int:
     """Largest admissible label for a step of the given height.
@@ -330,10 +338,11 @@ def history_label_bound(step: str, height: int) -> int:
 
 
 @dataclass(frozen=True)
-class LaguerreHistory:
+class LaguerreHistory(_LabeledWord):
     """Bicolored Motzkin word plus one non-negative label per step, with
     every label bounded per ``history_label_bound``."""
 
+    _word_type = BicoloredMotzkinWord
     word: BicoloredMotzkinWord
     labels: tuple[int, ...]
 
@@ -353,21 +362,6 @@ class LaguerreHistory:
                     f"the bound {history_label_bound(ch, h)} (height {h})"
                 )
 
-    @classmethod
-    def _trusted(cls, word: BicoloredMotzkinWord, labels: tuple[int, ...]) -> "LaguerreHistory":
-        """The history (word, labels) without the scan and the label
-        checks, for a builder whose word is an exact
-        ``BicoloredMotzkinWord`` and whose labels are a tuple, one per
-        step, each within ``history_label_bound``."""
-        history = object.__new__(cls)
-        object.__setattr__(history, "word", word)
-        object.__setattr__(history, "labels", labels)
-        return history
-
-    @property
-    def n(self) -> int:
-        return len(self.word)
-
     def __str__(self) -> str:
         """Pipe form, e.g. "UUTUDTDHD | l=0,0,1,2,1,0,1,0,0"."""
         if not self.word:
@@ -384,13 +378,6 @@ class LaguerreHistory:
         parts = label_part.split(",") if label_part else ()
         labels = _parse_ints(parts, "history", text.strip())
         return cls(word, labels)
-
-    def to_json_dict(self) -> dict:
-        return {"steps": str(self.word), "labels": list(self.labels)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "LaguerreHistory":
-        return cls(BicoloredMotzkinWord(data["steps"]), tuple(data["labels"]))
 
 
 def history_to_labeled(h: LaguerreHistory) -> LabeledMotzkinPath:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from operator import or_
-from typing import Callable, Collection, Mapping
+from typing import Callable, Mapping
 
 from .errors import InvariantError
 
@@ -73,15 +73,6 @@ def _merge(a: Mapping[int, Coefficient], b: Mapping[int, Coefficient]) -> Mappin
         else:
             out[k] = _norm(s)
     return out
-
-
-def _subtract_products(acc: dict, left: Collection, right: Collection) -> None:
-    """acc -= (sum of the left terms) * (sum of the right terms), over
-    (packed key, coefficient) pairs."""
-    for k1, c1 in left:
-        for k2, c2 in right:
-            key = k1 + k2
-            acc[key] = acc.get(key, 0) - c1 * c2
 
 
 @dataclass(frozen=True)
@@ -275,27 +266,15 @@ class TruncatedSeries:
         """Multiplicative inverse; requires the x^0 coefficient to be a
         nonzero rational constant free of auxiliary variables.
 
-        Solved degree by degree with the reciprocal recurrence
-        g_0 = 1/c_0, g_n = -(1/c_0) sum_{k=1..n} a_k g_{n-k}, where a_k is
-        the auxiliary-variable polynomial at x^k; with integer coefficients
-        and c_0 = +-1 every g_n is an int.
+        G = (1 - (u - c_0)*G)/c_0 is a contraction, as u - c_0 has
+        x-valuation >= 1, so its lazy solution needs no eager check; with
+        integer coefficients and c_0 = +-1 every coefficient of G is an int.
         """
         c0 = self.constant_term()
         if c0 == 0 or self._has_auxiliary_constant():
             raise ValueError("invert needs a nonzero constant term free of auxiliaries")
-        ring, shift = self.ring, self.ring._x_shift
-        recip = _norm(1 / Fraction(c0))
-        a: list[list[tuple[int, Coefficient]]] = [[] for _ in range(ring.order + 1)]
-        for k, c in self.terms.items():
-            if k >> shift:
-                a[k >> shift].append((k, c))
-        g: list[dict[int, Coefficient]] = [{0: recip}]
-        for n in range(1, ring.order + 1):
-            acc: dict[int, Coefficient] = {}
-            for k in range(1, n + 1):
-                _subtract_products(acc, a[k], g[n - k].items())
-            g.append(ring._checked({key: _norm(c * recip) for key, c in acc.items() if c}))
-        return _series(ring, {k: c for gn in g for k, c in gn.items()})
+        recip = _norm(Fraction(1, c0))
+        return _lazy_solve(lambda g: g * ((self - c0) * -recip) + recip, self.ring)
 
     def sqrt(self) -> "TruncatedSeries":
         """Square root with constant term +1; requires constant term 1.
@@ -478,12 +457,16 @@ class LazySeries:
 
         def coeff(n):
             acc = {}
+            get = acc.get
             for i in range(a.val, n - b.val + 1):
                 u = fa(i) if 2 * i <= n else fb(n - i)
                 v = u and (fb(n - i) if 2 * i <= n else fa(i))
                 if v:
-                    _subtract_products(acc, u.items(), v.items())
-            return self.ring._checked({k: _norm(-c) for k, c in acc.items() if c})
+                    for k1, c1 in u.items():
+                        for k2, c2 in v.items():
+                            key = k1 + k2
+                            acc[key] = get(key, 0) + c1 * c2
+            return self.ring._checked({k: _norm(c) for k, c in acc.items() if c})
 
         return LazySeries(self.ring, coeff, a.val + b.val)
 
@@ -573,6 +556,14 @@ def fixed_point_solve(
     >>> [f.coefficient(n, at={}) for n in range(6)]
     [1, 1, 2, 5, 14, 42]
     """
+    f = _lazy_solve(mapping, ring)
+    if mapping(f) != f:
+        raise InvariantError("the lazy solution is not fixed by the map; map is not a contraction")
+    return f
+
+
+def _lazy_solve(mapping: Callable, ring: SeriesRing) -> TruncatedSeries:
+    """The lazy loop of ``fixed_point_solve`` and ``invert``, unchecked."""
     known: dict[int, dict] = {}
 
     def unknown(n: int) -> dict:
@@ -584,11 +575,7 @@ def fixed_point_solve(
     image = f._lift(mapping(f))
     for n in range(ring.order + 1):
         known[n] = image.coeff(n)
-    f = _series(ring, {k + (n << ring._x_shift): v for n, c in known.items() for k, v in c.items()})
-    del image, known  # drop the lazy graph and its coefficients before the check
-    if mapping(f) != f:
-        raise InvariantError("the lazy solution is not fixed by the map; map is not a contraction")
-    return f
+    return _series(ring, {k + (n << ring._x_shift): v for n, c in known.items() for k, v in c.items()})
 
 
 def continued_fraction(

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -167,6 +168,16 @@ def test_verify_rejects_negative_sizes(capsys, argv):
     assert code == 2
     assert out == ""
     assert "non-negative" in err
+
+
+@pytest.mark.parametrize("source", [["--name", "f123_inv"], ["--name", "cluster", "--S", "HU,DU"]],
+                         ids=["named", "cluster"])
+@pytest.mark.parametrize("evaluate", [[], ["--eval", "t=1,z=1"]], ids=["series", "eval"])
+def test_gf_rejects_negative_order(capsys, source, evaluate):
+    code, out, err = run(capsys, "gf", *source, "--N", "-1", *evaluate)
+    assert code == 2
+    assert out == ""
+    assert err == "error: truncation order must be non-negative\n"
 
 
 @pytest.mark.parametrize(
@@ -439,3 +450,30 @@ def test_main_in_one_process_prints_what_separate_processes_print(capsys):
         separate.append((result.returncode, result.stdout, result.stderr))
     assert in_process == separate
     assert in_process[0][0] == 0 and in_process[0][1].startswith("[n=0] 1\n")
+
+
+def readme_commands() -> list[tuple[list[str], str | None]]:
+    """(argv, printed output or None) for each ``motzkinperm`` line of the
+    README's command-line block; the indented lines under a command are
+    the output it prints."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    commands: list[tuple[list[str], str | None]] = []
+    for line in block.splitlines():
+        if line.startswith("motzkinperm "):
+            commands.append((shlex.split(line)[1:], None))
+        elif line.startswith("    "):
+            argv, shown = commands[-1]
+            commands[-1] = (argv, (shown or "") + line.strip() + "\n")
+    return commands
+
+
+def test_readme_command_line_block_runs(capsys):
+    commands = readme_commands()
+    assert len(commands) == 12
+    assert [shown is not None for argv, shown in commands] == [argv[0] == "map" for argv, _ in commands]
+    for argv, shown in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, f"{shlex.join(argv)} exited {code}: {err}"
+        if shown is not None:
+            assert out == shown, shlex.join(argv)

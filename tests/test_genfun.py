@@ -367,6 +367,14 @@ def test_class_spec_parsing():
         ClassSpec.parse("S[12]")
 
 
+def test_132_avoiders_avoid_1_23_exactly_when_they_avoid_consecutive_123():
+    # the letter before the b of a 1_23 occurrence a...bc lies below b, or
+    # a, it, b would be a 132; so it, b, c is a _123
+    glued, consecutive = ClassSpec.parse("S(132,1_23)"), ClassSpec.parse("S(132,_123)")
+    for n in range(11):
+        assert list(glued.members(n)) == list(consecutive.members(n))
+
+
 def test_distribution_oracle():
     table = distribution_oracle("I(3412)", ("inv", "des", "fix"), 4)
     assert table.total() == 9

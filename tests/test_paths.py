@@ -258,6 +258,29 @@ def test_json_roundtrip():
     assert LaguerreHistory.from_json_dict(h.to_json_dict()) == h
 
 
+# 76 involutions of 6 and 5! permutations
+@pytest.mark.parametrize("records, n, size", [(enumerate_labeled, 6, 76), (enumerate_histories, 5, 120)])
+def test_json_roundtrip_of_every_record(records, n, size):
+    # both record types take n, the JSON form and the trusted builder from one base
+    seen = list(records(n))
+    assert len(seen) == size
+    for record in seen:
+        data = record.to_json_dict()
+        assert data == {"steps": str(record.word), "labels": list(record.labels)}
+        back = type(record).from_json_dict(data)
+        assert back == record and back.n == n and type(back.word) is type(record.word)
+
+
+@pytest.mark.parametrize("record, steps, message", [
+    (LabeledMotzkinPath, "UTD", "invalid step 'T' at position 2 in 'UTD'"),
+    (LaguerreHistory, "TD", "second-color horizontal step at height 0 (position 1) in 'TD'"),
+])
+def test_from_json_dict_checks_the_word_before_the_labels(record, steps, message):
+    with pytest.raises(ValueError) as err:
+        record.from_json_dict({"steps": steps})
+    assert str(err.value) == message
+
+
 def test_history_labeled_identification():
     m = LabeledMotzkinPath.parse("UUD1D0H")
     assert history_to_labeled(labeled_to_history(m)) == m

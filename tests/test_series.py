@@ -446,6 +446,13 @@ def test_continued_fraction_matches_the_recurrence_at_order_18():
     assert inv_des_fix_gf(18, method="continued-fraction") == inv_des_fix_gf(18)
 
 
+def test_continued_fraction_matches_the_recurrence_at_order_20():
+    # the continued fraction inverts one series per level, each through the
+    # lazy solve loop with no eager check; the recurrence runs the checked
+    # fixed point
+    assert inv_des_fix_gf(20, method="continued-fraction") == inv_des_fix_gf(20)
+
+
 def test_continued_fraction_rejects_constant_levels():
     ring = SeriesRing(4, ())
     with pytest.raises(ValueError):

@@ -118,11 +118,12 @@ TRUSTED_BUILDERS = {
 CHECKED_CLASSES = {owner for owner, _ in TRUSTED_BUILDERS}
 
 
-def trusted_uses():
-    """(owner, scope) of every ``X._trusted`` in the package, and of every
-    ``__new__`` call that builds one of CHECKED_CLASSES by name, which
-    skips its checks as well.  Scope is module.function, or
-    module.Class.method for a method."""
+def trusted_uses(extra_modules: dict[str, str] | None = None):
+    """(owner, scope) of every ``X._trusted`` in the package and in
+    ``extra_modules`` (module name to source), and of every ``__new__``
+    call that builds one of CHECKED_CLASSES by name, which skips its
+    checks as well.  Scope is module.function, or module.Class.method for
+    a method."""
     uses = set()
 
     def visit(node, scope):
@@ -144,8 +145,10 @@ def trusted_uses():
                 uses.add((f"{ast.unparse(child.func)}({ast.unparse(child.args[0])})", scope))
             visit(child, inner)
 
-    for path in sorted(Path(motzkinperm.__file__).parent.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(Path(motzkinperm.__file__).parent.glob("*.py"))}
+    for module, source in {**sources, **(extra_modules or {})}.items():
+        visit(ast.parse(source), module)
     return uses
 
 
@@ -154,3 +157,21 @@ def test_only_named_builders_skip_validation():
         assert not scope.startswith("cli.")
         assert not scope.endswith((".parse", ".from_json_dict"))
     assert trusted_uses() == TRUSTED_BUILDERS
+
+
+def test_labeled_records_share_one_trusted_builder():
+    assert LabeledMotzkinPath._trusted.__func__ is LaguerreHistory._trusted.__func__
+
+
+@pytest.mark.parametrize("call", [
+    "LaguerreHistory._trusted(w, l)",
+    "LabeledMotzkinPath._trusted(w, l)",
+    "_LabeledWord._trusted(w, l)",
+    "type(h)._trusted(w, l)",
+    "getattr(LaguerreHistory, '_trusted')(w, l)",
+    "object.__new__(LaguerreHistory)",
+])
+def test_a_builder_outside_the_allow_list_is_caught(call):
+    # every route to a record's _trusted counts, the shared base's included
+    uses = trusted_uses({"outside": f"def show(h, w, l):\n    return {call}\n"})
+    assert {scope for _, scope in uses - TRUSTED_BUILDERS} == {"outside.show"}
