@@ -28,7 +28,7 @@ from .bijections import (
     perm_to_history,
     transport_statistics,
 )
-from .errors import BoundExceededError, InvariantError
+from .errors import InvariantError
 from .genfun import (
     CLUSTER_123,
     CLUSTER_132,
@@ -71,6 +71,7 @@ from .patterns import PatternSpec, enumerate_class, occurrences
 from .permutations import (
     ENUMERATION_BOUND,
     asc_count,
+    check_size,
     coinv_count,
     des_count,
     enumerate_involutions,
@@ -82,8 +83,8 @@ from .series import SeriesRing, TruncatedSeries, fixed_point_solve, solve_quadra
 
 #: Ceiling on nmax for the suites that walk all of S_n (bijection and
 #: diagram).  Their time grows about tenfold per n: on a 2-CPU machine
-#: (Python 3.11) ``bijection`` takes 0.8-0.9 s at nmax 8 and 6-8 s at nmax
-#: 9, ``diagram`` 0.4-0.7 s and about 4.6 s, so nmax 12 would run for hours.
+#: (Python 3.11, best of 3) ``bijection`` takes 0.6 s at nmax 8 and 6.6 s at
+#: nmax 9, ``diagram`` 0.5 s and 4.4 s, so nmax 12 would run for hours.
 ALL_PERMUTATIONS_BOUND = 9
 #: Ceiling on the random factor families of the cluster suite: about 10 s at
 #: the largest order and nmax it accepts.  ``check_cluster_engine(order=30,
@@ -96,8 +97,7 @@ RANDOM_SETS_BOUND = 2500
 def _refuse_past_bound(nmax: int, suite: str, bound: int = ENUMERATION_BOUND) -> None:
     """Refuse a suite whose nmax exceeds its budget before it enumerates
     anything, rather than after walking every smaller n."""
-    if nmax > bound:
-        raise BoundExceededError(nmax, bound, f"verify {suite}")
+    check_size(nmax, f"verify {suite}", bound)
 
 
 def _crosses_off(expected: set, walk: Iterable) -> bool:
@@ -262,6 +262,8 @@ PATH_ROUTES = {
     "f312_perm": (f312_perm, ("", False), _before_non_d(lambda s, c: (c, s + c == "UD"))),
     "f321_perm": (f321_perm, ("", False), _before_non_d(lambda s, c: (c, c == "H" and s != ""))),
 }
+#: The named series by name, which ``gf`` serves and the genfun suite calls.
+NAMED_SERIES = {name: route[0] for name, route in PATH_ROUTES.items()}
 
 
 def check_genfun_tables(order: int = 12) -> list[str]:
@@ -271,8 +273,8 @@ def check_genfun_tables(order: int = 12) -> list[str]:
     the window-sum identity."""
     failures: list[str] = []
     series: dict[str, TruncatedSeries] = {}
-    for name, (gf, start, step) in PATH_ROUTES.items():
-        got = series[name] = gf(order)
+    for name, (_, start, step) in PATH_ROUTES.items():
+        got = series[name] = NAMED_SERIES[name](order)
         for n in (got - path_series(got.ring, step, start)).x_degrees():
             failures.append(f"{name} differs from the path transfer matrix at n={n}")
     if series["inv_des_fix"] != inv_des_fix_gf(order, method="continued-fraction"):

@@ -30,57 +30,37 @@ from .genfun import ClassSpec, ClusterSpec, cluster_count_gf, distribution_oracl
 from .paths import LabeledMotzkinPath, LaguerreHistory, MotzkinWord
 from .permutations import SERIES_ORDER_BOUND, Permutation, format_cycles, parse_cycles
 
-#: The named series, each with the path transfer matrix that ``verify genfun``
-#: checks it against.
-GF_FUNCTIONS = {name: route[0] for name, route in checks.PATH_ROUTES.items()}
-
-
-def _map_gamma(text: str):
-    return perm_to_history(Permutation.parse(text))
-
-
-def _map_gamma_inv(text: str):
-    return history_to_perm(LaguerreHistory.parse(text))
-
-
-def _map_psi(text: str):
-    return involution_to_path(Permutation.parse(text))
-
-
-def _map_psi_inv(text: str):
-    return path_to_involution(LabeledMotzkinPath.parse(text))
+#: The named series: the dict that ``verify genfun`` calls through.
+GF_FUNCTIONS = checks.NAMED_SERIES
 
 
 def _map_foata(text: str):
-    text = text.strip()
+    """Foata's map reads a cycle form or an involution's one-line word."""
     if text.startswith("("):
         return foata(parse_cycles(text))
     return foata_of(Permutation.parse(text))
 
 
-def _map_foata_inv(text: str) -> str:
-    return format_cycles(foata_inverse(Permutation.parse(text)))
-
-
-def _map_gamma_inv_restricted(text: str):
-    return motzkin_to_perm(MotzkinWord(text.strip()))
-
-
+#: Each ``map --via`` verb: the reader of its stripped input, and the map.
 MAPS = {
-    "gamma": _map_gamma,
-    "gamma-inv": _map_gamma_inv,
-    "psi": _map_psi,
-    "psi-inv": _map_psi_inv,
-    "foata": _map_foata,
-    "foata-inv": _map_foata_inv,
-    "gamma-inv-restricted": _map_gamma_inv_restricted,
+    "gamma": (Permutation.parse, perm_to_history),
+    "gamma-inv": (LaguerreHistory.parse, history_to_perm),
+    "psi": (Permutation.parse, involution_to_path),
+    "psi-inv": (LabeledMotzkinPath.parse, path_to_involution),
+    "foata": (str, _map_foata),
+    "foata-inv": (Permutation.parse, foata_inverse),
+    "gamma-inv-restricted": (MotzkinWord, motzkin_to_perm),
 }
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
-    image = MAPS[args.via](args.object)
+    text = args.object.strip()
+    read, apply = MAPS[args.via]
+    image = apply(read(text))
+    if args.via == "foata-inv":  # a cycle form, a plain tuple of tuples
+        image = format_cycles(image)
     if args.format == "json":
-        payload = {"via": args.via, "input": args.object.strip(), "image": str(image)}
+        payload = {"via": args.via, "input": text, "image": str(image)}
         if hasattr(image, "to_json_dict"):
             payload["path"] = image.to_json_dict()
         print(json.dumps(payload))

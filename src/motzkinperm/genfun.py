@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterator, Sequence
 
-from .errors import BoundExceededError, InvariantError
+from .errors import InvariantError
 from .paths import (
     _DELTA,
     PATH_STATISTIC_NAMES,
@@ -37,9 +37,9 @@ from .paths import (
 )
 from .patterns import PatternSpec, enumerate_class, occurrences
 from .permutations import (
-    ENUMERATION_BOUND,
     Permutation,
     asc_count,
+    check_size,
     coinv_count,
     des_count,
     fix_count,
@@ -539,10 +539,7 @@ def distribution_oracle(
     it starts, whatever the class."""
     if isinstance(class_spec, str):
         class_spec = ClassSpec.parse(class_spec)
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if n > ENUMERATION_BOUND:
-        raise BoundExceededError(n, ENUMERATION_BOUND, f"oracle for {class_spec}")
+    check_size(n, f"oracle for {class_spec}")
     stats = tuple(statistics)
     funcs = [statistic_function(name, class_spec.base) for name in stats]
     counts: dict[tuple[int, ...], int] = {}

@@ -18,19 +18,18 @@ from dataclasses import dataclass
 from operator import add
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
-from .errors import BoundExceededError
-from .permutations import ENUMERATION_BOUND, _parse_ints
+from .permutations import _parse_ints, check_size, refuse_negative
 from .series import SeriesRing, TruncatedSeries
 
 _DELTA = {"U": 1, "D": -1, "H": 0, "T": 0}
 
 
-def _scan_heights(steps: str, allow_second_color: bool) -> tuple[int, ...]:
-    """Validate a step word and return its height list."""
+def _scan_heights(steps: str, word_type: type[BicoloredMotzkinWord]) -> tuple[int, ...]:
+    """Validate a step word as a ``word_type`` and return its height list."""
     heights = []
     y = 0
     for i, ch in enumerate(steps, start=1):
-        if ch not in _DELTA or (ch == "T" and not allow_second_color):
+        if ch not in _DELTA or (ch == "T" and not word_type._second_color):
             raise ValueError(f"invalid step {ch!r} at position {i} in {steps!r}")
         if ch == "D":
             y -= 1
@@ -52,9 +51,12 @@ def _scan_heights(steps: str, allow_second_color: bool) -> tuple[int, ...]:
 class BicoloredMotzkinWord(str):
     """Step word over {U, D, H, T}; T is the second horizontal color."""
 
+    #: Whether the word may take T steps.
+    _second_color = True
+
     def __new__(cls, steps: str | Iterable[str]) -> "BicoloredMotzkinWord":
         steps = steps if isinstance(steps, str) else "".join(steps)
-        _scan_heights(steps, allow_second_color=True)
+        _scan_heights(steps, cls)
         return super().__new__(cls, steps)
 
     @property
@@ -65,10 +67,7 @@ class BicoloredMotzkinWord(str):
 class MotzkinWord(BicoloredMotzkinWord):
     """Plain Motzkin word over {U, D, H}."""
 
-    def __new__(cls, steps: str | Iterable[str]) -> "MotzkinWord":
-        steps = steps if isinstance(steps, str) else "".join(steps)
-        _scan_heights(steps, allow_second_color=False)
-        return str.__new__(cls, steps)
+    _second_color = False
 
 
 def height_list(word: str) -> tuple[int, ...]:
@@ -77,7 +76,7 @@ def height_list(word: str) -> tuple[int, ...]:
     >>> height_list(BicoloredMotzkinWord("UUDTDH"))
     (0, 1, 1, 1, 0, 0)
     """
-    return _scan_heights(str(word), allow_second_color=True)
+    return _scan_heights(str(word), BicoloredMotzkinWord)
 
 
 class Tunnel(NamedTuple):
@@ -110,23 +109,14 @@ def tunnels(word: MotzkinWord) -> tuple[Tunnel, ...]:
 
 
 def area(word: MotzkinWord) -> int:
-    """Area between the path and the x-axis, as a trapezoid sum.
-
-    U and D steps contribute half-integers but a word that returns to the
-    axis always has integral area.
+    """Area between the path and the x-axis, as a trapezoid sum: a step at
+    height h adds h, and h + 1/2 if it is a U or a D.  As #U = #D, that is
+    the sum of the heights plus #U.
 
     >>> area(MotzkinWord("UHD"))
     2
     """
-    doubled = 0
-    y = 0
-    for ch in str(word):
-        y2 = y + _DELTA[ch]
-        doubled += y + y2
-        y = y2
-    if doubled % 2:
-        raise ValueError(f"non-integral area for {word!r}")
-    return doubled // 2
+    return sum(height_list(word)) + word.count("U")
 
 
 def subword_count(word: str, pattern: str) -> int:
@@ -145,7 +135,8 @@ DESCENT_FACTORS = ("UU", "DD", "UH", "HD", "UD")
 
 
 def _long_tunnels(word: str) -> int:
-    return sum(1 for t in tunnels(MotzkinWord(word)) if not t.trivial and t.right - t.left > 2)
+    # one tunnel per U, and a tunnel is long unless its D comes right after its U
+    return word.count("U") - word.count("UD")
 
 
 def _noninitial_up(word: str) -> int:
@@ -192,11 +183,12 @@ def named_statistic(word: MotzkinWord, name: str) -> int:
 
     Known names: weak_valleys, peaks, long_tunnels, noninitial_up,
     nonfinal_peaks, distinguished_H, weakly_descending_subpaths.
-    A long tunnel is a matched U-D pair with at least one step strictly
-    between them; a non-final peak is a UD factor not followed exclusively
-    by D's; a distinguished horizontal step is an H not in first position
-    and not followed exclusively by D's; a weakly descending subpath is a
-    maximal factor over {H, D}.
+    A long tunnel is a U not directly followed by D, which opens a matched
+    U-D pair with at least one step strictly between them; a non-final peak
+    is a UD factor not followed exclusively by D's; a distinguished
+    horizontal step is an H not in first position and not followed
+    exclusively by D's; a weakly descending subpath is a maximal factor
+    over {H, D}.
     """
     try:
         stat = _NAMED_STATISTICS[name]
@@ -239,8 +231,17 @@ def first_return_reassemble(parts) -> MotzkinWord:
 class _LabeledWord:
     """A step word with a tuple of labels: what a labeled Motzkin path and
     a Laguerre history share.  Each subclass, a frozen dataclass, validates
-    its own fields and names its word type in ``_word_type``, which checks
+    its own labels and names its word type in ``_word_type``, which checks
     the steps of ``from_json_dict`` before its labels are read."""
+
+    def _scan(self) -> tuple[int, ...]:
+        """Store the word as an exact ``_word_type`` and the labels as a tuple,
+        and return the heights from the one scan that validates the steps."""
+        steps = self.word if isinstance(self.word, str) else "".join(self.word)
+        heights = _scan_heights(steps, self._word_type)
+        object.__setattr__(self, "word", str.__new__(self._word_type, steps))
+        object.__setattr__(self, "labels", tuple(self.labels))
+        return heights
 
     @classmethod
     def _trusted(cls, word: BicoloredMotzkinWord, labels: tuple[int, ...]):
@@ -273,13 +274,8 @@ class LabeledMotzkinPath(_LabeledWord):
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        # one scan of a step string both validates it and gives the heights
-        steps = self.word if isinstance(self.word, str) else MotzkinWord(self.word)
-        heights = _scan_heights(steps, allow_second_color=False)
-        word = str.__new__(MotzkinWord, steps)
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "labels", tuple(self.labels))
-        d_heights = [h for ch, h in zip(word, heights) if ch == "D"]
+        heights = self._scan()
+        d_heights = [h for ch, h in zip(self.word, heights) if ch == "D"]
         if len(self.labels) != len(d_heights):
             raise ValueError(
                 f"expected {len(d_heights)} labels (one per D), got {len(self.labels)}"
@@ -347,15 +343,10 @@ class LaguerreHistory(_LabeledWord):
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        # one scan of a step string both validates it and gives the heights
-        steps = self.word if isinstance(self.word, str) else BicoloredMotzkinWord(self.word)
-        heights = _scan_heights(steps, allow_second_color=True)
-        word = str.__new__(BicoloredMotzkinWord, steps)
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if len(self.labels) != len(word):
-            raise ValueError(f"expected {len(word)} labels, got {len(self.labels)}")
-        for i, (ch, label, h) in enumerate(zip(word, self.labels, heights), start=1):
+        heights = self._scan()
+        if len(self.labels) != len(self.word):
+            raise ValueError(f"expected {len(self.word)} labels, got {len(self.labels)}")
+        for i, (ch, label, h) in enumerate(zip(self.word, self.labels, heights), start=1):
             if not 0 <= label <= history_label_bound(ch, h):
                 raise ValueError(
                     f"label {label} on step {ch} at position {i} exceeds "
@@ -421,14 +412,12 @@ def _words(n: int, alphabet: str, cls: type[str]) -> Iterator:
 
 
 def enumerate_motzkin(n: int) -> Iterator[MotzkinWord]:
-    if n > ENUMERATION_BOUND:
-        raise BoundExceededError(n, ENUMERATION_BOUND, "Motzkin word enumeration")
+    check_size(n, "Motzkin word enumeration")
     yield from _words(n, "DHU", MotzkinWord)
 
 
 def enumerate_bicolored(n: int) -> Iterator[BicoloredMotzkinWord]:
-    if n > ENUMERATION_BOUND:
-        raise BoundExceededError(n, ENUMERATION_BOUND, "bicolored Motzkin word enumeration")
+    check_size(n, "bicolored Motzkin word enumeration")
     yield from _words(n, "DHTU", BicoloredMotzkinWord)
 
 
@@ -483,6 +472,7 @@ def path_series(ring: SeriesRing, step: Callable, start: Hashable = "") -> Trunc
 
 def motzkin_number(n: int) -> int:
     """M_0, M_1, ... = 1, 1, 2, 4, 9, 21, 51, ... by the standard recurrence."""
+    refuse_negative(n)
     ms = [1, 1]
     while len(ms) <= n:
         k = len(ms)
@@ -491,6 +481,7 @@ def motzkin_number(n: int) -> int:
 
 
 def catalan_number(n: int) -> int:
+    refuse_negative(n)
     c = 1
     for i in range(n):
         c = c * 2 * (2 * i + 1) // (i + 2)

@@ -30,6 +30,18 @@ SERIES_ORDER_BOUND = 30
 CycleForm = tuple[tuple[int, ...], ...]
 
 
+def refuse_negative(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+
+
+def check_size(n: int, what: str, bound: int = ENUMERATION_BOUND) -> None:
+    """Refuse a negative size, and a size past the bound before any work."""
+    refuse_negative(n)
+    if n > bound:
+        raise BoundExceededError(n, bound, what)
+
+
 class Permutation(tuple):
     """A permutation as an immutable 1-based one-line word.
 
@@ -254,8 +266,7 @@ def run_anatomy(p: Permutation) -> RunAnatomy:
 
 def enumerate_permutations(n: int) -> Iterator[Permutation]:
     """All n! permutations, in lexicographic order."""
-    if n > ENUMERATION_BOUND:
-        raise BoundExceededError(n, ENUMERATION_BOUND, "permutation enumeration")
+    check_size(n, "permutation enumeration")
     for word in itertools.permutations(range(1, n + 1)):
         yield Permutation._trusted(word)
 
@@ -277,9 +288,7 @@ def _walk(
     completion places those values right of the prefix.  An involution
     whose position j < i holds i must hold j at position i; otherwise
     position i takes i itself or a free value above it."""
-    if n > ENUMERATION_BOUND:
-        what = "involution enumeration" if involutions else "class enumeration"
-        raise BoundExceededError(n, ENUMERATION_BOUND, what)
+    check_size(n, "involution enumeration" if involutions else "class enumeration")
     yield from _place(n, involutions, prune, [], [0] * (n + 1), (1 << (n + 1)) - 2)
 
 
@@ -311,6 +320,7 @@ def _place(
 
 def involution_number(n: int) -> int:
     """Count of involutions in S_n via I(n) = I(n-1) + (n-1) I(n-2)."""
+    refuse_negative(n)
     a, b = 1, 1
     for k in range(2, n + 1):
         a, b = b, b + (k - 1) * a

@@ -83,6 +83,28 @@ def test_map_json_format(capsys):
     }
 
 
+#: One input per ``map --via`` verb, foata with both of its forms, with the
+#: image printed and, for a path-valued image, the path of its JSON form.
+MAP_EXAMPLES = [
+    ("gamma", " 2 1 ", "HH | l=0,0", {"steps": "HH", "labels": [0, 0]}),
+    ("gamma-inv", "UUTUDTDHD | l=0,0,1,2,1,0,1,0,0", "8 2 6 9 1 3 5 4 7", None),
+    ("psi", "6 5 3 8 2 1 7 4", "UUHUD1D1HD0", {"steps": "UUHUDDHD", "labels": [1, 1, 0]}),
+    ("psi-inv", "UUHUD1D1HD0", "6 5 3 8 2 1 7 4", None),
+    ("foata", "(6)(5,8)(3)(2,7)(1,4)", "6 5 8 3 2 7 1 4", None),
+    ("foata", " 4 7 3 1 8 6 2 5", "6 5 8 3 2 7 1 4", None),
+    ("foata-inv", "65832714", "(6)(5,8)(3)(2,7)(1,4)", None),
+    ("gamma-inv-restricted", " UUUDDUHDDUD ", "10 11 7 6 8 3 4 2 5 1 9", None),
+]
+
+
+@pytest.mark.parametrize("via, text, image, path", MAP_EXAMPLES)
+def test_every_map_verb_in_text_and_json(capsys, via, text, image, path):
+    assert run(capsys, "map", "--via", via, text) == (0, image + "\n", "")
+    code, out, err = run(capsys, "map", "--via", via, "--format", "json", text)
+    payload = {"via": via, "input": text.strip(), "image": image}
+    assert (code, json.loads(out), err) == (0, {**payload, **({"path": path} if path else {})}, "")
+
+
 def test_map_parse_error_is_usage(capsys):
     for via, text, message in [
         ("gamma", "not a permutation", "cannot parse permutation from 'not a permutation'"),
@@ -95,6 +117,10 @@ def test_map_parse_error_is_usage(capsys):
         ("gamma-inv", "UD | l=0,x", "cannot parse history from 'UD | l=0,x'"),
         ("gamma-inv", "UD | l=0,,0", "cannot parse history from 'UD | l=0,,0'"),
         ("gamma-inv", "UD | l=0,0,", "cannot parse history from 'UD | l=0,0,'"),
+        ("psi", "x", "cannot parse permutation from 'x'"),
+        ("foata-inv", "x", "cannot parse permutation from 'x'"),
+        ("foata-inv", "132", "1 3 2 contains the vincular pattern 1_32"),
+        ("gamma-inv-restricted", " UDT ", "invalid step 'T' at position 3 in 'UDT'"),
     ]:
         code, _, err = run(capsys, "map", "--via", via, text)
         assert (code, err) == (2, f"error: {message}\n"), text

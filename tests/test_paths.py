@@ -58,19 +58,24 @@ def test_validation_matches_reference(s):
 
 
 def test_validation_messages():
-    with pytest.raises(ValueError):
-        MotzkinWord("UDT")  # second color not allowed in plain words
-    with pytest.raises(ValueError):
-        BicoloredMotzkinWord("TD")  # T at height zero
-    with pytest.raises(ValueError):
-        BicoloredMotzkinWord("UDD")
+    for word_type, steps, message in [
+        (MotzkinWord, "UDT", "invalid step 'T' at position 3 in 'UDT'"),  # no second color
+        (MotzkinWord, "UxD", "invalid step 'x' at position 2 in 'UxD'"),
+        (BicoloredMotzkinWord, "TD", "second-color horizontal step at height 0 (position 1) in 'TD'"),
+        (BicoloredMotzkinWord, "UDD", "path goes below the axis at position 3 in 'UDD'"),
+        (MotzkinWord, "UU", "path does not return to the axis: 'UU'"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            word_type(steps)
+        assert str(err.value) == message
+    assert isinstance(MotzkinWord("UHD"), BicoloredMotzkinWord)
     # a sequence of letters builds the word from its letters
     for steps in (["U", "H", "D"], ("U", "H", "D")):
         assert MotzkinWord(steps) == "UHD" and area(MotzkinWord(steps)) == 2
         assert BicoloredMotzkinWord(steps) == "UHD"
     assert BicoloredMotzkinWord(("U", "T", "D")) == "UTD"
     assert MotzkinWord(iter("UHD")) == "UHD"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^invalid step 'T' at position 2 in 'UTD'$"):
         MotzkinWord(["U", "T", "D"])
 
 
@@ -115,10 +120,24 @@ def test_area_examples():
     assert area(MotzkinWord("UHD")) == 2
 
 
+def _trapezoid_area(word: str) -> int:
+    """The area as a sum of trapezoids, one per step."""
+    doubled = y = 0
+    for ch in word:
+        y2 = y + {"U": 1, "D": -1, "H": 0}[ch]
+        doubled += y + y2
+        y = y2
+    assert doubled % 2 == 0
+    return doubled // 2
+
+
 def test_area_equals_tunnel_sum():
-    for n in range(10):
+    # the trapezoid sum and the tunnels are references for area and long_tunnels
+    for n in range(11):
         for w in enumerate_motzkin(n):
-            assert area(w) == sum(
+            long_ = [t for t in tunnels(w) if not t.trivial and t.right - t.left > 2]
+            assert named_statistic(w, "long_tunnels") == len(long_)
+            assert area(w) == _trapezoid_area(w) == sum(
                 t.right - t.left - 1 for t in tunnels(w) if not t.trivial
             )
 
@@ -281,6 +300,32 @@ def test_from_json_dict_checks_the_word_before_the_labels(record, steps, message
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("record, word, labels, message", [
+    (LabeledMotzkinPath, "UTD", (0,), "invalid step 'T' at position 2 in 'UTD'"),
+    (LabeledMotzkinPath, iter("UDD"), (0,), "path goes below the axis at position 3 in 'UDD'"),
+    (LabeledMotzkinPath, "UUDD", [0], "expected 2 labels (one per D), got 1"),
+    (LabeledMotzkinPath, "UUDD", (1, 1), "label 1 of D #2 exceeds its height 0"),
+    (LabeledMotzkinPath, "UD", (-1,), "label -1 of D #1 exceeds its height 0"),
+    (LaguerreHistory, "TD", (0, 0), "second-color horizontal step at height 0 (position 1) in 'TD'"),
+    (LaguerreHistory, ("U", "U"), (0, 0), "path does not return to the axis: 'UU'"),
+    (LaguerreHistory, "UD", [0], "expected 2 labels, got 1"),
+    (LaguerreHistory, "UTD", (0, 1, 0), "label 1 on step T at position 2 exceeds the bound 0 (height 1)"),
+    (LaguerreHistory, "UHD", (0, 2, 0), "label 2 on step H at position 2 exceeds the bound 1 (height 1)"),
+])
+def test_record_messages(record, word, labels, message):
+    with pytest.raises(ValueError) as err:
+        record(word, labels)
+    assert str(err.value) == message
+
+
+def test_records_take_words_as_letters():
+    # an iterable of letters is read once, and stored as the exact word type
+    path = LabeledMotzkinPath(iter("UUDD"), [1, 0])
+    history = LaguerreHistory(iter("UTD"), iter((0, 0, 0)))
+    assert type(path.word) is MotzkinWord and path.labels == (1, 0)
+    assert type(history.word) is BicoloredMotzkinWord and history.labels == (0, 0, 0)
+
+
 def test_history_labeled_identification():
     m = LabeledMotzkinPath.parse("UUD1D0H")
     assert history_to_labeled(labeled_to_history(m)) == m
@@ -352,6 +397,22 @@ def test_factor_route_equals_word_census(words):
     got = path_series(ring, checks._factor_occurrences(words))
     want = _census(ring, lambda w: (sum(subword_count(w, v) for v in words), w.count("H")))
     assert got == want
+
+
+def test_genfun_suite_calls_the_named_series_dict(monkeypatch):
+    # the tracer wraps the named series by rewriting the values of this dict,
+    # so a suite that called around it would go unseen
+    assert cli.GF_FUNCTIONS is checks.NAMED_SERIES
+    orders = []
+    original = checks.NAMED_SERIES["weak_valley"]
+
+    def counting(order):
+        orders.append(order)
+        return original(order)
+
+    monkeypatch.setitem(checks.NAMED_SERIES, "weak_valley", counting)
+    assert checks.check_genfun_tables(order=5) == []
+    assert orders == [5]
 
 
 def test_path_series_counts_motzkin_words():

@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from motzkinperm import genfun, paths, patterns, series
+from motzkinperm import checks, genfun, paths, patterns, series
 from motzkinperm.errors import BoundExceededError
 from motzkinperm.permutations import (
     ENUMERATION_BOUND,
@@ -174,24 +174,42 @@ def test_enumerate_involutions_lists_the_involutions_of_s_n_in_order():
         assert list(enumerate_involutions(n)) == expected
 
 
+#: Every enumerator; the wrappers rely on the refusals of the one they call.
+ENUMERATORS = (
+    enumerate_permutations,
+    enumerate_involutions,
+    lambda n: patterns.enumerate_class(n, ()),
+    lambda n: patterns.enumerate_class(n, (), base="involutions"),
+    paths.enumerate_motzkin,
+    paths.enumerate_bicolored,
+    paths.enumerate_labeled,
+    paths.enumerate_histories,
+    lambda n: genfun.ClassSpec.parse("I(3412)").members(n),
+)
+
+
 def test_enumeration_bound_refusal():
-    # every enumerator starts at the one ceiling and refuses one past it;
-    # the wrappers rely on the refusal of the enumerator they call
-    enumerators = (
-        enumerate_permutations,
-        enumerate_involutions,
-        lambda n: patterns.enumerate_class(n, ()),
-        lambda n: patterns.enumerate_class(n, (), base="involutions"),
-        paths.enumerate_motzkin,
-        paths.enumerate_bicolored,
-        paths.enumerate_labeled,
-        paths.enumerate_histories,
-        lambda n: genfun.ClassSpec.parse("I(3412)").members(n),
-    )
-    for enumerate_ in enumerators:
+    # every enumerator starts at the one ceiling and refuses one past it
+    for enumerate_ in ENUMERATORS:
         assert next(enumerate_(ENUMERATION_BOUND)) is not None
         with pytest.raises(BoundExceededError):
             next(enumerate_(ENUMERATION_BOUND + 1))
+
+
+@pytest.mark.parametrize("n", [-1, -3])
+def test_negative_sizes_are_refused(n):
+    # every enumerator, count and suite with an nmax refuses with one message
+    calls = [lambda e=e: next(e(n)) for e in ENUMERATORS] + [
+        lambda: involution_number(n),
+        lambda: paths.motzkin_number(n),
+        lambda: paths.catalan_number(n),
+        lambda: genfun.distribution_oracle("S()", ("inv",), n),
+    ]
+    calls += [lambda r=r: r(nmax=n) for r, defaults in checks.SUITES.values() if "nmax" in defaults]
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert type(err.value) is ValueError and str(err.value) == f"n must be non-negative, got {n}"
 
 
 def test_no_ceiling_or_solver_knobs():
