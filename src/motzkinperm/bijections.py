@@ -246,17 +246,28 @@ def motzkin_to_perm(w: MotzkinWord) -> Permutation:
     """The member of the class avoiding 132 and consecutive 123 whose
     history is (w, all labels zero): tunnels in decreasing order of their
     left endpoint become ascending runs (left+1, right), trivial tunnels
-    becoming one-letter runs.
+    becoming one-letter runs.  A tunnel's left endpoint is where its U or
+    H step starts, so one pass matches each U with its D and a second
+    reads the U and H steps from right to left.
 
     >>> str(motzkin_to_perm(MotzkinWord("UUUDDUHDDUD")))
     '10 11 7 6 8 3 4 2 5 1 9'
     """
+    steps = str(w)
+    closer = [0] * len(steps)
+    opens: list[int] = []
+    for i, ch in enumerate(steps, start=1):
+        if ch == "U":
+            opens.append(i)
+        elif ch == "D":
+            closer[opens.pop() - 1] = i
     word: list[int] = []
-    for t in tunnels(w):
-        if t.right == t.left + 1:
-            word.append(t.right)
-        else:
-            word.extend((t.left + 1, t.right))
+    for i in range(len(steps), 0, -1):
+        ch = steps[i - 1]
+        if ch == "U":
+            word += (i, closer[i - 1])
+        elif ch != "D":
+            word.append(i)
     return Permutation(word)
 
 

@@ -169,7 +169,8 @@ def _weakly_descending_subpaths(word: str) -> int:
 _NAMED_STATISTICS = {
     # WEAK_VALLEY_FACTORS are the pairs of an H or D followed by an H or U
     "weak_valleys": lambda w: sum(1 for a, b in zip(w, w[1:]) if a in "HD" and b in "HU"),
-    "peaks": lambda w: subword_count(w, "UD"),
+    # UD cannot overlap itself, so str.count counts every occurrence
+    "peaks": lambda w: w.count("UD"),
     "long_tunnels": _long_tunnels,
     "noninitial_up": _noninitial_up,
     "nonfinal_peaks": _nonfinal_peaks,
@@ -178,7 +179,7 @@ _NAMED_STATISTICS = {
 }
 
 
-def named_statistic(word: MotzkinWord, name: str) -> int:
+def named_statistic(word: MotzkinWord | str, name: str) -> int:
     """Evaluate one of the named path statistics.
 
     Known names: weak_valleys, peaks, long_tunnels, noninitial_up,
@@ -188,12 +189,15 @@ def named_statistic(word: MotzkinWord, name: str) -> int:
     is a UD factor not followed exclusively by D's; a distinguished
     horizontal step is an H not in first position and not followed
     exclusively by D's; a weakly descending subpath is a maximal factor
-    over {H, D}.
+    over {H, D}.  A word that is not a ``MotzkinWord`` is validated as
+    one, so a malformed word raises ValueError.
     """
     try:
         stat = _NAMED_STATISTICS[name]
     except KeyError:
         raise ValueError(f"unknown path statistic {name!r}") from None
+    if not isinstance(word, MotzkinWord):
+        word = MotzkinWord(word)
     return stat(str(word))
 
 

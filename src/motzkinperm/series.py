@@ -13,7 +13,8 @@ keys sort by x-degree, and a key is kept when below the cap (N+1) << 16m.
 Each field holds 0..MAX_EXPONENT under a guard bit; a product that sets one
 raises InvariantError.  Tuples are packed and unpacked only at the ring
 boundary: the constructor, monomial, coefficient, the substitutions and
-the renderers.
+``to_json_dict``; the renderers read exponents off the keys by shift and
+mask.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
+from itertools import groupby
 from operator import or_
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import InvariantError
 
@@ -56,6 +58,18 @@ def _clear_denominators(
         k: v.numerator * (d // v.denominator) if type(v) is Fraction else v * d
         for k, v in terms.items()
     }
+
+
+def _shifted(terms: Mapping[int, Coefficient], key: int, c: Coefficient, room: int) -> dict[int, Coefficient]:
+    """The terms with a key below ``room``, each key plus ``key`` and each
+    coefficient times c, a nonzero normed rational: the product by the
+    one-term c*key.  c = 1 does no arithmetic, and an int c norms only
+    Fraction coefficients, as an int times an int is an int."""
+    if c == 1:
+        return {k + key: v for k, v in terms.items() if k < room}
+    if type(c) is int:
+        return {k + key: v * c if type(v) is int else _norm(v * c) for k, v in terms.items() if k < room}
+    return {k + key: _norm(v * c) for k, v in terms.items() if k < room}
 
 
 def _merge(a: Mapping[int, Coefficient], b: Mapping[int, Coefficient]) -> Mapping[int, Coefficient]:
@@ -216,18 +230,29 @@ class TruncatedSeries:
         return (-self) + other
 
     def __mul__(self, other) -> "TruncatedSeries":
+        """The truncated product.  A rational factor scales each term, and 1
+        gives the series back as it is.  A factor of one term c*key shifts
+        the other's keys by key and scales them by c; the rest multiply
+        every pair of terms below the cap, over ints once the denominators
+        are cleared."""
         ring = self.ring
         if isinstance(other, (int, Fraction)):
+            if other == 1:
+                return self
             if other == 0:
                 return ring.zero()
-            return _series(ring, {k: _norm(v * other) for k, v in self.terms.items()})
+            return _series(ring, _shifted(self.terms, 0, other, ring._cap))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        da, a = _clear_denominators(self.terms)
-        db, b = _clear_denominators(other.terms)
+        a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        if len(a) == 1:
+            ((key, c),) = a.items()
+            return _series(ring, ring._checked(_shifted(b, key, c, ring._cap - key)))
+        da, a = _clear_denominators(a)
+        db, b = _clear_denominators(b)
         by_key = sorted(b.items())
         out: dict[int, int] = {}
         get = out.get
@@ -355,13 +380,28 @@ class TruncatedSeries:
 
     def _by_degree(self) -> dict[int, dict[tuple[int, ...], Coefficient]]:
         """The nonzero coefficients by ascending x-degree, each a dict from
-        ascending auxiliary exponent vectors to rationals: the one pass over
-        the terms that the renderers and ``to_json_dict`` share."""
+        ascending auxiliary exponent vectors to rationals."""
         ring, out = self.ring, {}
         for k in sorted(self.terms):
             x, *exps = ring._unpack(k)
             out.setdefault(x, {})[tuple(exps)] = self.terms[k]
         return out
+
+    def _lines(self, keys: list[int]) -> dict[int, str]:
+        """The coefficient of each x-degree among ``keys``, packed keys in
+        descending order, rendered as ``format_poly`` does: the degrees
+        descend, and exponents are read from a key by shift and mask."""
+        ring, terms = self.ring, self.terms
+        fields = tuple(zip(ring.vars, ring._shifts))
+        return {
+            d: _poly_line([
+                (terms[k], "*".join([
+                    name if e == 1 else f"{name}^{e}" for name, s in fields if (e := k >> s & _MASK)
+                ]))
+                for k in group
+            ])
+            for d, group in groupby(keys, key=lambda k: k >> ring._x_shift)
+        }
 
     def coefficient(self, x_degree: int, at: Mapping[str, Coefficient] | None = None):
         """The coefficient of x**x_degree: a dict from auxiliary exponent
@@ -378,16 +418,20 @@ class TruncatedSeries:
         return self.evaluate(**at).terms.get(x_degree, 0)
 
     def format_coefficient(self, x_degree: int) -> str:
-        return format_poly(self.coefficient(x_degree), self.ring.vars)
+        if not 0 <= x_degree <= self.ring.order:
+            raise ValueError(f"x-degree {x_degree} outside 0..{self.ring.order}")
+        shift = self.ring._x_shift
+        keys = sorted((k for k in self.terms if k >> shift == x_degree), reverse=True)
+        return self._lines(keys).get(x_degree, "0")
 
     def format_coefficients(self) -> list[str]:
-        """``format_coefficient`` of every x-degree 0..order, from one pass."""
-        polys = self._by_degree()
-        return [format_poly(polys.get(n, {}), self.ring.vars) for n in range(self.ring.order + 1)]
+        """``format_coefficient`` of every x-degree 0..order, from one sort."""
+        lines = self._lines(sorted(self.terms, reverse=True))
+        return [lines.get(n, "0") for n in range(self.ring.order + 1)]
 
     def __str__(self) -> str:
-        lines = [f"[n={d}] {format_poly(poly, self.ring.vars)}" for d, poly in self._by_degree().items()]
-        return "\n".join(lines) if lines else "[0]"
+        lines = self._lines(sorted(self.terms, reverse=True))
+        return "\n".join(f"[n={d}] {lines[d]}" for d in reversed(lines)) if lines else "[0]"
 
     def __repr__(self) -> str:
         return f"TruncatedSeries(order={self.ring.order}, vars={self.ring.vars}, terms={len(self.terms)})"
@@ -412,9 +456,10 @@ def _series(ring: SeriesRing, terms: dict[int, Coefficient]) -> TruncatedSeries:
 class LazySeries:
     """A series of ``ring`` whose x^n coefficient, a dict over packed
     auxiliary keys, ``coeff(n)`` computes on request: a lifted constant, a
-    sum, a rational multiple, a product or a rescale x -> x*m
-    (``rescale_x``).  ``val`` is a lower bound of its x-valuation.  Only
-    product operands keep their coefficients; the rest recompute them."""
+    sum, a rational multiple (by 1 the series itself), a shift by a factor
+    of one term, a product or a rescale x -> x*m (``rescale_x``).  ``val``
+    is a lower bound of its x-valuation.  Only product operands keep their
+    coefficients; the rest recompute them."""
 
     __slots__ = ("ring", "coeff", "val")
 
@@ -440,18 +485,28 @@ class LazySeries:
 
     def __mul__(self, other) -> "LazySeries":
         """A rational factor scales each coefficient: 1 gives self back and
-        0 the zero series.  In a product, pairs below either factor's
-        valuation are skipped; each other pair at degree n asks first for
-        the factor coefficient of lower degree (on the tie at degree 0,
-        ``other``'s) and skips the pair when it is zero: so x-valuation
-        >= 1 keeps F_n off F_n.  Guard bits are checked as in the eager
-        product."""
+        0 the zero series.  An eager factor of one term c*x^d*m shifts:
+        the x^n coefficient is the x^(n-d) one of self times c*m, asked
+        for only from n - d >= val.  In a product, pairs below either
+        factor's valuation are skipped; each other pair at degree n asks
+        first for the factor coefficient of lower degree (on the tie at
+        degree 0, ``other``'s) and skips the pair when it is zero: so
+        x-valuation >= 1 keeps F_n off F_n.  Shifts and products check
+        guard bits as the eager product does."""
+        ring = self.ring
         if isinstance(other, (int, Fraction)):
             if other == 1:
                 return self
             if other == 0:
                 return self._lift(0)
-            return LazySeries(self.ring, lambda n: {k: _norm(v * other) for k, v in self.coeff(n).items()}, self.val)
+            return LazySeries(ring, lambda n: _shifted(self.coeff(n), 0, other, ring._cap), self.val)
+        if isinstance(other, TruncatedSeries) and len(other.terms) == 1 and other.ring == ring:
+            ((key, c),) = other.terms.items()
+            d, m = key >> ring._x_shift, key & ~(-1 << ring._x_shift)
+            low = self.val + d
+            return LazySeries(
+                ring, lambda n: ring._checked(_shifted(self.coeff(n - d), m, c, ring._cap)) if n >= low else {}, low
+            )
         a, b = self._lift(other), self
         fa, fb = cache(a.coeff), cache(b.coeff)
 
@@ -473,28 +528,27 @@ class LazySeries:
     __rmul__ = __mul__
 
 
-def format_poly(poly: Mapping[tuple[int, ...], Coefficient], vars: tuple[str, ...]) -> str:
-    """Render an auxiliary-variable polynomial like ``2*y^2*z + y*z^2``."""
-    if not poly:
-        return "0"
+def _poly_line(terms: Iterable[tuple[Coefficient, str]]) -> str:
+    """``2*y^2*z + y*z^2`` from (coefficient, monomial) pairs in print order,
+    a monomial like ``y^2*z`` and "" for 1; "0" for no pair."""
     pieces = []
-    for exps in sorted(poly, reverse=True):
-        c = poly[exps]
-        factors = [
-            name if e == 1 else f"{name}^{e}" for name, e in zip(vars, exps) if e
-        ]
-        body = "*".join(factors)
+    for c, body in terms:
         mag = abs(c)
-        if not body:
-            text = str(mag)
-        elif mag == 1:
-            text = body
-        else:
-            text = f"{mag}*{body}"
+        text = body if mag == 1 and body else f"{mag}*{body}" if body else str(mag)
         pieces.append(("- " if c < 0 else "+ ") + text)
+    if not pieces:
+        return "0"
     first = pieces[0]
     first = "-" + first[2:] if first.startswith("- ") else first[2:]
     return " ".join([first] + pieces[1:])
+
+
+def format_poly(poly: Mapping[tuple[int, ...], Coefficient], vars: tuple[str, ...]) -> str:
+    """Render an auxiliary-variable polynomial like ``2*y^2*z + y*z^2``."""
+    return _poly_line([
+        (poly[exps], "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(vars, exps) if e]))
+        for exps in sorted(poly, reverse=True)
+    ])
 
 
 def rescale_x(series: "TruncatedSeries | LazySeries", **m: int) -> "TruncatedSeries | LazySeries":
@@ -536,7 +590,8 @@ def solve_quadratic(
     b0 = b.constant_term()
     if a.x_valuation() < 1 or b0 == 0 or b._has_auxiliary_constant():
         raise ValueError("solve_quadratic needs a of x-valuation >= 1 and b(0) a nonzero rational")
-    return fixed_point_solve(lambda f: (f * (f * a + (b - b0)) + c) * Fraction(-1, b0), a.ring)
+    scale = _norm(Fraction(-1, b0))
+    return fixed_point_solve(lambda f: (f * (f * a + (b - b0)) + c) * scale, a.ring)
 
 
 def fixed_point_solve(

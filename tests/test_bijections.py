@@ -20,6 +20,7 @@ from motzkinperm.bijections import (
     transport_statistics,
     window_pattern_counts,
 )
+from motzkinperm.cli import main
 from motzkinperm.paths import (
     LabeledMotzkinPath,
     MotzkinWord,
@@ -27,6 +28,7 @@ from motzkinperm.paths import (
     enumerate_motzkin,
     labeled_to_history,
     named_statistic,
+    tunnels,
 )
 from motzkinperm.patterns import PatternSpec, avoids, enumerate_class
 from motzkinperm.permutations import (
@@ -167,6 +169,28 @@ def test_motzkin_to_perm_inverts_history():
             h = perm_to_history(p)
             assert str(h.word) == str(w)
             assert not any(h.labels)
+
+
+def tunnel_route(w: MotzkinWord) -> list[int]:
+    """The word of motzkin_to_perm(w) read off the tunnels, sorted by
+    decreasing left endpoint, as runs (left+1, right) and (right)."""
+    word = []
+    for t in tunnels(w):
+        word += (t.right,) if t.trivial else (t.left + 1, t.right)
+    return word
+
+
+def test_motzkin_to_perm_follows_the_tunnels():
+    for n in range(13):
+        for w in enumerate_motzkin(n):
+            assert list(motzkin_to_perm(w)) == tunnel_route(w), w
+
+
+def test_map_restricted_inverse_follows_the_tunnels(capsys):
+    for steps in ("UUUDDUHDDUD", "H", "UHD", "HUUHDDH", "UUDHDUUHDDUD"):
+        assert main(["map", "--via", "gamma-inv-restricted", steps]) == 0
+        expected = Permutation(tunnel_route(MotzkinWord(steps)))
+        assert capsys.readouterr().out.strip() == str(expected)
 
 
 def test_window_table_is_total():

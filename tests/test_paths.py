@@ -9,6 +9,7 @@ from motzkinperm.bijections import CONSECUTIVE_PATTERNS, window_pattern_counts
 from motzkinperm.errors import BoundExceededError
 from motzkinperm.paths import (
     DESCENT_FACTORS,
+    PATH_STATISTIC_NAMES,
     WEAK_VALLEY_FACTORS,
     BicoloredMotzkinWord,
     LabeledMotzkinPath,
@@ -164,12 +165,40 @@ def test_named_statistics():
         named_statistic(MotzkinWord("UD"), "zigzags")
 
 
+def test_peaks_count_every_ud_factor():
+    for n in range(11):
+        for w in enumerate_motzkin(n):
+            assert named_statistic(w, "peaks") == subword_count(w, "UD"), w
+
+
+def test_named_statistic_validates_its_word():
+    assert named_statistic("UHD", "long_tunnels") == 1
+    assert named_statistic(BicoloredMotzkinWord("UHUDD"), "peaks") == 1
+    refused = (
+        ("DU", "below the axis at position 1"),
+        ("DDD", "below the axis at position 1"),
+        ("xyz", "invalid step 'x' at position 1"),
+        ("UUD", "does not return to the axis"),
+        (BicoloredMotzkinWord("UTD"), "invalid step 'T' at position 2"),
+    )
+    for word, message in refused:
+        for name in PATH_STATISTIC_NAMES:
+            with pytest.raises(ValueError, match=message):
+                named_statistic(word, name)
+
+
 def test_weak_valleys_equal_factor_counts():
     words = [w for n in range(11) for w in enumerate_motzkin(n)]
     words += ["".join(w) for n in range(7) for w in itertools.product("UDH", repeat=n)]
+    motzkin = {w for w in words if isinstance(w, MotzkinWord)}
     for w in words:
-        expected = sum(subword_count(w, f) for f in WEAK_VALLEY_FACTORS)
-        assert named_statistic(w, "weak_valleys") == expected, w
+        if w in motzkin:
+            expected = sum(subword_count(w, f) for f in WEAK_VALLEY_FACTORS)
+            assert named_statistic(w, "weak_valleys") == expected, w
+        else:
+            # a word off the Motzkin language is refused, not counted
+            with pytest.raises(ValueError):
+                named_statistic(w, "weak_valleys")
 
 
 def test_enumerated_words_pass_their_constructors():

@@ -360,6 +360,12 @@ def random_series(rng: random.Random, ring: SeriesRing) -> TruncatedSeries:
     return TruncatedSeries(ring, terms)
 
 
+def same_terms(got: dict, expected: dict) -> None:
+    """Equal terms dicts, with equal coefficient types."""
+    assert got == expected
+    assert [type(v) for v in got.values()] == [type(expected[k]) for k in got]
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_lazy_scalar_and_sum_nodes_match_eager(seed):
     # the terms dicts are compared, types included, so a zero coefficient
@@ -371,10 +377,67 @@ def test_lazy_scalar_and_sum_nodes_match_eager(seed):
     cases += [(Fraction(3, 4) * la, a * Fraction(3, 4)), (la + lb, a + b), (la - lb, a - b), (-la, -a)]
     cases += [(la + b, a + b), (1 - la, 1 - a), (la + la * -1, RING.zero())]
     for lazy, eager in cases:
-        got = materialized(lazy)
-        assert got == eager.terms
-        assert [type(v) for v in got.values()] == [type(v) for v in (eager.terms[k] for k in got)]
+        same_terms(materialized(lazy), eager.terms)
     assert la * 1 is la
+
+
+#: One-term factors (coefficient, x-degree, t, z): x-degree 0, auxiliary
+#: variables only, inside the order and at it, where every term of positive
+#: x-degree drops out of the product.
+ONE_TERM = [(1, 0, 0, 0), (-1, 0, 0, 1), (Fraction(3, 2), 0, 2, 1), (-2, 3, 0, 0),
+            (Fraction(-1, 3), 5, 1, 3), (7, RING.order, 0, 0)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_one_term_factor_is_a_key_shift(seed):
+    # every x-degree 0..order holds a pure power of x, so a shift keeping
+    # the key at the cap itself, x^(order+1), would show
+    rng = random.Random(seed)
+    dense = sum((RING.x(n) for n in range(RING.order + 1)), RING.zero())
+    f = random_series(rng, RING) + dense
+    for g in (f, RING.x() * f):
+        lazy = as_lazy(g)
+        for c, d, t, z in ONE_TERM:
+            m = RING.monomial(c, d, t=t, z=z)
+            # the general lazy product (as_lazy(m) is lazy) and tuple keys
+            general = materialized(lazy * as_lazy(m))
+            reference = naive_mul(as_tuples(g), as_tuples(m), RING.order)
+            for eager in (g * m, m * g):
+                assert as_tuples(eager) == reference
+                same_terms(eager.terms, general)
+            for node in (lazy * m, m * lazy):
+                assert node.val == lazy.val + d
+                same_terms(materialized(node), general)
+    assert (RING.monomial(7, RING.order) * (RING.x() * f)).is_zero()
+
+
+def test_one_term_factor_overflow_raises_in_both_kernels():
+    ring = SeriesRing(4, ("a", "b"))
+    top = ring.one() + ring.monomial(2, 1, b=MAX_EXPONENT)
+    lazy = as_lazy(top)
+    for m in (ring.var("b"), ring.monomial(3, 2, b=1)):
+        for product in (lambda: top * m, lambda: m * top,
+                        lambda: materialized(lazy * m), lambda: materialized(m * lazy)):
+            with pytest.raises(InvariantError, match="exceeds"):
+                product()
+
+
+def test_unit_scalar_is_a_no_op():
+    s = random_series(random.Random(0), RING)
+    assert s * 1 is s and 1 * s is s and s * Fraction(1) is s
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_quadratic_over_ints_stays_in_ints(seed):
+    rng = random.Random(seed)
+
+    def ints(min_x):
+        return TruncatedSeries(RING, {(rng.randint(min_x, RING.order), rng.randint(0, 2), rng.randint(0, 2)):
+                                      rng.randint(-3, 3) for _ in range(rng.randint(1, 4))})
+
+    for b0 in (1, -1):
+        root = solve_quadratic(ints(1), ints(1) + b0, ints(0) + rng.choice((1, -2, 3)))
+        assert root.terms and all(type(v) is int for v in root.terms.values())
 
 
 def test_lazy_series_takes_only_a_rescale_of_x():
