@@ -23,16 +23,17 @@ matrix (``paths.path_series``) of the statistics it counts.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import tee
 from math import comb
 from typing import Callable, Iterator, Sequence
 
 from .errors import InvariantError
 from .paths import (
     _DELTA,
-    PATH_STATISTIC_NAMES,
+    _NAMED_STATISTICS,
     enumerate_motzkin,
-    named_statistic,
     subword_count,
 )
 from .patterns import PatternSpec, enumerate_class, occurrences
@@ -494,7 +495,9 @@ def statistic_function(name: str, base: str) -> Callable:
 
     Permutation classes: inv, coinv, des, asc, fix, and occ:<pattern> for
     occurrence counts.  Motzkin words: any named path statistic plus
-    subword:<factor>.
+    subword:<factor>.  The function takes the members the class's
+    enumerator yields and validates nothing; ``paths.named_statistic``
+    is the validating route for other words.
     """
     if base == "M":
         if name.startswith("subword:"):
@@ -502,8 +505,8 @@ def statistic_function(name: str, base: str) -> Callable:
             if not factor:
                 raise ValueError(f"statistic {name!r} has an empty factor")
             return lambda w: subword_count(w, factor)
-        if name in PATH_STATISTIC_NAMES:
-            return lambda w: named_statistic(w, name)
+        if name in _NAMED_STATISTICS:
+            return _NAMED_STATISTICS[name]
         raise ValueError(f"unknown path statistic {name!r}")
     if name in _PERM_STATISTICS:
         return _PERM_STATISTICS[name]
@@ -534,16 +537,18 @@ def distribution_oracle(
     statistics: Sequence[str],
     n: int,
 ) -> DistributionTable:
-    """Tabulate the joint distribution of the statistics by exhaustive
-    enumeration of the class.  Past ``ENUMERATION_BOUND`` it refuses before
-    it starts, whatever the class."""
+    """Tabulate the joint distribution of one or more statistics by
+    exhaustive enumeration of the class.  Past ``ENUMERATION_BOUND`` it
+    refuses before it starts, whatever the class."""
     if isinstance(class_spec, str):
         class_spec = ClassSpec.parse(class_spec)
     check_size(n, f"oracle for {class_spec}")
     stats = tuple(statistics)
+    if not stats:
+        raise ValueError("no statistic to tabulate")
     funcs = [statistic_function(name, class_spec.base) for name in stats]
-    counts: dict[tuple[int, ...], int] = {}
-    for member in class_spec.members(n):
-        key = tuple(f(member) for f in funcs)
-        counts[key] = counts.get(key, 0) + 1
+    # each statistic maps over its own copy of the member stream, and zip
+    # joins their values into the key of each member
+    copies = tee(class_spec.members(n), len(funcs))
+    counts = dict(Counter(zip(*map(map, funcs, copies))))
     return DistributionTable(n, str(class_spec), stats, counts)

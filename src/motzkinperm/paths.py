@@ -167,8 +167,11 @@ def _weakly_descending_subpaths(word: str) -> int:
 
 
 _NAMED_STATISTICS = {
-    # WEAK_VALLEY_FACTORS are the pairs of an H or D followed by an H or U
-    "weak_valleys": lambda w: sum(1 for a, b in zip(w, w[1:]) if a in "HD" and b in "HU"),
+    # the pairs of an H or D followed by an H or U (WEAK_VALLEY_FACTORS):
+    # each H or U after the first letter makes one unless it follows a U; a
+    # nonempty Motzkin word starts with H or U and ends in H or D, so that
+    # is #H + #U - 1 - (#U - #UD)
+    "weak_valleys": lambda w: w.count("H") + w.count("UD") - (w != ""),
     # UD cannot overlap itself, so str.count counts every occurrence
     "peaks": lambda w: w.count("UD"),
     "long_tunnels": _long_tunnels,

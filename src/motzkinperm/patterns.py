@@ -123,35 +123,26 @@ class PatternSpec:
         return "_" + text if len(blocks[0]) > 1 else text
 
 
-def _count(
-    values: Sequence, spec: PatternSpec, ends: Iterable, first: bool = False, free: int | None = None
-) -> int:
+def _count(values: Sequence, spec: PatternSpec, ends: Iterable, first: bool = False) -> int:
     """Number of occurrences of the pattern in values whose last letter sits
     at one of the 0-based indices in ``ends``; with ``first``, stop at the
     first one found (the result is then 0 or 1).
-
-    With ``free``, a bitmask of the values still to be placed right of
-    ``values`` (bit v for value v), the pattern must have length m >= 2
-    and a last letter that is not glued.  Letters 1..m-1 are then anchored
-    instead, and an occurrence of them counts only when some free value
-    lies strictly inside the interval that letter m needs.
 
     Letters are placed right to left from that anchor.  A letter glued to
     its right neighbour has one candidate position, a free letter scans
     leftwards, and each candidate is compared only with the placed letters
     nearest to it in value (see ``PatternSpec._plan``)."""
-    plan = spec._plan if free is None else spec._lookahead
+    plan = spec._plan
     m = len(plan)
     if m == 0:
         return 1
     got = spec._got[:]
-    gap = spec.letters[-1]
     last = plan[-1][1]
     found = 0
     for end in ends:
         if end >= m - 1:
             got[last] = values[end]
-            found += _extend(values, plan, got, m - 2, end, first, free, gap)
+            found += _extend(values, plan, got, m - 2, end, first, None, 0)
             if found and first:
                 break
     return found
@@ -160,8 +151,11 @@ def _count(
 def _extend(
     values: Sequence, plan: tuple, got: list, k: int, right: int, first: bool, free: int | None, gap: int
 ) -> int:
-    """Ways to place letters k, k-1, ..., 0 of ``_count``'s plan left of
-    index right.  Not a closure in ``_count``: a self-recursive closure is a
+    """Ways to place letters k, k-1, ..., 0 of a plan left of index right,
+    where right > k leaves each of them room.  With ``free``, the bitmask
+    of ``enumerate_class``'s values not yet placed, a way counts only if
+    one of them lies strictly between the host values of pattern values
+    gap - 1 and gap + 1.  Not a closure: a self-recursive closure is a
     reference cycle, which only the cyclic garbage collector frees."""
     if k < 0:
         if free is None:
@@ -171,8 +165,13 @@ def _extend(
         return 1 if over and (over & -over).bit_length() - 1 < got[gap + 1] else 0
     glued, value, below, above = plan[k]
     low, high = got[below], got[above]
+    if glued:  # one candidate, right - 1
+        if low < values[right - 1] < high:
+            got[value] = values[right - 1]
+            return _extend(values, plan, got, k - 1, right - 1, first, free, gap)
+        return 0
     found = 0
-    for pos in range(right - 1, right - 2 if glued and right > k else k - 1, -1):
+    for pos in range(right - 1, k - 1, -1):
         v = values[pos]
         if low < v < high:
             got[value] = v
@@ -229,20 +228,31 @@ def enumerate_class(
     completes an occurrence of letters 1..m-1 and a free value, which every
     completion places later, lies in the interval letter m needs; no prefix
     that completes the whole pattern is reached, since a shorter one is
-    dead.
+    dead.  A walk that tests more than ``permutations.WALK_BUDGET``
+    prefixes raises ``BoundExceededError``.
 
     >>> len(list(enumerate_class(4, [PatternSpec.parse("132"), PatternSpec.parse("_123")])))
     9
     """
     if base not in ("all", "involutions"):
         raise ValueError(f"unknown base {base!r}")
-    specs = tuple(patterns)
+    # each pattern once: its plan, a got buffer of this call's own, the
+    # index k of the letter left of the anchor (a prefix shorter than k + 2
+    # holds no occurrence), the pattern value anchored at the new letter,
+    # and for a look-ahead plan the value of the last letter, else 0
+    tests = []
+    for s in patterns:
+        plan = s._lookahead or s._plan
+        gap = s.letters[-1] if s._lookahead else 0
+        tests.append((plan, s._got[:], len(plan) - 2, plan[-1][1] if plan else 0, gap))
 
     def dead(word: list[int], free: int) -> bool:
-        end = (len(word) - 1,)
-        for s in specs:
-            if _count(word, s, end, True, free if s._lookahead else None):
-                return True
+        end = len(word) - 1
+        for plan, got, k, last, gap in tests:
+            if end > k:
+                got[last] = word[end]
+                if _extend(word, plan, got, k, end, True, free if gap else None, gap):
+                    return True
         return False
 
-    yield from _walk(n, base == "involutions", dead)
+    yield from _walk(n, base == "involutions", dead if tests else None)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from motzkinperm import checks
+from motzkinperm import checks, permutations
 from motzkinperm.cli import main
 from motzkinperm.permutations import ENUMERATION_BOUND, SERIES_ORDER_BOUND
 
@@ -370,6 +370,26 @@ def test_table_ignores_bound_environment(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == f"refused: oracle for S() at n=13 refused: exceeds the bound {ENUMERATION_BOUND}\n"
+
+
+def test_table_past_the_walk_budget_is_refused(capsys, monkeypatch):
+    # S_5 has 325 nonempty prefixes; the budget is read when a walk starts
+    monkeypatch.setattr(permutations, "WALK_BUDGET", 325)
+    code, out, _ = run(capsys, "table", "--class", "S()", "--stats", "inv", "--n", "5")
+    assert code == 0 and out.endswith("total 120\n")
+    monkeypatch.setattr(permutations, "WALK_BUDGET", 324)
+    code, out, err = run(capsys, "table", "--class", "S()", "--stats", "inv", "--n", "5")
+    assert code == 3
+    assert out == ""
+    assert err == "refused: class enumeration at n=5 refused: exceeds the bound 324 prefixes\n"
+
+
+@pytest.mark.parametrize("stats", ["", " , "])
+def test_table_without_a_statistic_is_usage(capsys, stats):
+    code, out, err = run(capsys, "table", "--class", "M", "--stats", stats, "--n", "3", "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert err == "error: no statistic to tabulate\n"
 
 
 def test_table_empty_subword_factor_is_usage(capsys):

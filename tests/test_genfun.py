@@ -389,6 +389,8 @@ def test_distribution_oracle():
         distribution_oracle("M", ("inv",), 3)
     with pytest.raises(ValueError):
         distribution_oracle("I(3412)", ("zigzag",), 3)
+    with pytest.raises(ValueError, match="no statistic to tabulate"):
+        distribution_oracle("M", (), 3)
 
 
 def test_distribution_oracle_subword_stats():

@@ -8,6 +8,7 @@ from motzkinperm import checks, cli
 from motzkinperm.bijections import CONSECUTIVE_PATTERNS, window_pattern_counts
 from motzkinperm.errors import BoundExceededError
 from motzkinperm.paths import (
+    _NAMED_STATISTICS,
     DESCENT_FACTORS,
     PATH_STATISTIC_NAMES,
     WEAK_VALLEY_FACTORS,
@@ -199,6 +200,18 @@ def test_weak_valleys_equal_factor_counts():
             # a word off the Motzkin language is refused, not counted
             with pytest.raises(ValueError):
                 named_statistic(w, "weak_valleys")
+
+
+def test_weak_valleys_closed_form_equals_the_pair_count():
+    # the closed form #H + #UD - [w != ""] against the {H,D}.{H,U} pairs
+    weak_valleys = _NAMED_STATISTICS["weak_valleys"]
+    for n in range(13):
+        for w in enumerate_motzkin(n):
+            pairs = sum(1 for a, b in zip(w, w[1:]) if a in "HD" and b in "HU")
+            assert weak_valleys(w) == named_statistic(w, "weak_valleys") == pairs, w
+    assert weak_valleys(MotzkinWord("")) == 0
+    with pytest.raises(ValueError):
+        named_statistic("DU", "weak_valleys")
 
 
 def test_enumerated_words_pass_their_constructors():

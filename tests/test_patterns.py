@@ -145,6 +145,42 @@ def test_enumerate_class_equals_filtered_permutations_random(n, specs):
     assert list(enumerate_class(n, specs)) == expected
 
 
+#: every pattern of length 1 to 3 with every set of adjacencies: 1 + 4 + 24
+SHORT_SPECS = [
+    PatternSpec(Permutation(letters), frozenset(i for i, glued in enumerate(gluing, 1) if glued))
+    for m in range(1, 4)
+    for letters in itertools.permutations(range(1, m + 1))
+    for gluing in itertools.product((False, True), repeat=m - 1)
+]
+
+
+def test_every_short_pattern_alone_equals_the_filtered_base():
+    assert len(SHORT_SPECS) == len(set(SHORT_SPECS)) == 29
+    for n in range(7):
+        perms, invs = list(enumerate_permutations(n)), list(enumerate_involutions(n))
+        for spec in SHORT_SPECS:
+            assert list(enumerate_class(n, [spec])) == [p for p in perms if avoids(p, spec)], spec
+            assert list(enumerate_class(n, [spec], "involutions")) == [
+                p for p in invs if avoids(p, spec)
+            ], spec
+
+
+@pytest.mark.parametrize("texts", [("132", "_123"), ("1_32", "1_23"), ("3412",), ("12_3", "2_13")])
+def test_interleaved_walks_stay_independent(texts):
+    # two walks over the same PatternSpec objects, advanced in turn: each
+    # keeps its own stack, placed values and matcher buffers
+    specs = [PatternSpec.parse(t) for t in texts]
+    for base in ("all", "involutions"):
+        apart = [list(enumerate_class(n, specs, base)) for n in (5, 6)]
+        together = ([], [])
+        walks = [enumerate_class(5, specs, base), enumerate_class(6, specs, base)]
+        for pair in itertools.zip_longest(*walks):
+            for members, p in zip(together, pair):
+                if p is not None:
+                    members.append(p)
+        assert list(together) == apart
+
+
 def count_prefixes(monkeypatch, texts, n, base="all"):
     """Members of the class and the prefixes the walk passes to its prune
     callable."""

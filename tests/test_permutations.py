@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from motzkinperm import checks, genfun, paths, patterns, series
+from motzkinperm import checks, genfun, paths, patterns, permutations, series
 from motzkinperm.errors import BoundExceededError
 from motzkinperm.permutations import (
     ENUMERATION_BOUND,
@@ -194,6 +194,30 @@ def test_enumeration_bound_refusal():
         assert next(enumerate_(ENUMERATION_BOUND)) is not None
         with pytest.raises(BoundExceededError):
             next(enumerate_(ENUMERATION_BOUND + 1))
+
+
+def test_walk_budget_counts_prefixes(monkeypatch):
+    # S_4 has 4 + 12 + 24 + 24 = 64 nonempty prefixes, I_5 has 5 + 14 + 22
+    # + 26 + 26 = 93 (the forced letters count too)
+    monkeypatch.setattr(permutations, "WALK_BUDGET", 64)
+    assert sum(1 for _ in patterns.enumerate_class(4, ())) == 24
+    monkeypatch.setattr(permutations, "WALK_BUDGET", 63)
+    with pytest.raises(BoundExceededError, match="class enumeration at n=4 refused: "
+                       "exceeds the bound 63 prefixes"):
+        list(patterns.enumerate_class(4, ()))
+    monkeypatch.setattr(permutations, "WALK_BUDGET", 93)
+    assert sum(1 for _ in enumerate_involutions(5)) == 26
+    monkeypatch.setattr(permutations, "WALK_BUDGET", 92)
+    with pytest.raises(BoundExceededError, match="involution enumeration at n=5"):
+        list(enumerate_involutions(5))
+    # a pruned walk counts the prefixes it tests, dead ones included: each
+    # depth tries every free value, 4 + 3 + 2 + 1, and only the largest lives
+    spec = patterns.PatternSpec.parse("12")
+    monkeypatch.setattr(permutations, "WALK_BUDGET", 10)
+    assert list(patterns.enumerate_class(4, [spec])) == [Permutation([4, 3, 2, 1])]
+    monkeypatch.setattr(permutations, "WALK_BUDGET", 9)
+    with pytest.raises(BoundExceededError):
+        list(patterns.enumerate_class(4, [spec]))
 
 
 @pytest.mark.parametrize("n", [-1, -3])

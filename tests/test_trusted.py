@@ -105,7 +105,7 @@ def test_class_members_equal_validated_ones(n, specs, base):
 #: outside input goes through the validating constructors.
 TRUSTED_BUILDERS = {
     ("Permutation", "permutations.enumerate_permutations"),
-    ("Permutation", "permutations._place"),
+    ("Permutation", "permutations._walk"),
     ("Permutation", "bijections.history_to_perm"),
     ("Permutation", "bijections.path_to_involution"),
     ("Permutation", "bijections.foata_of"),
