@@ -40,7 +40,6 @@ from .paths import (
     enumerate_histories,
     enumerate_labeled,
     enumerate_motzkin,
-    first_return_decompose,
     height_list,
     named_statistic,
     subword_count,

@@ -504,6 +504,8 @@ def statistic_function(name: str, base: str) -> Callable:
             factor = name.split(":", 1)[1]
             if not factor:
                 raise ValueError(f"statistic {name!r} has an empty factor")
+            if not set(factor) <= set("UDH"):
+                raise ValueError(f"statistic {name!r} has a factor with a letter other than U, D, H")
             return lambda w: subword_count(w, factor)
         if name in _NAMED_STATISTICS:
             return _NAMED_STATISTICS[name]

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import add
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
 from .permutations import _parse_ints, check_size, refuse_negative
-from .series import SeriesRing, TruncatedSeries
+from .series import SeriesRing, TruncatedSeries, _series
 
 _DELTA = {"U": 1, "D": -1, "H": 0, "T": 0}
 
@@ -207,34 +206,6 @@ def named_statistic(word: MotzkinWord | str, name: str) -> int:
 PATH_STATISTIC_NAMES = tuple(_NAMED_STATISTICS)
 
 
-def first_return_decompose(word: MotzkinWord):
-    """Unique first-return decomposition.
-
-    Returns () for the empty word, ("H", m) when the word is H followed by
-    m, and ("U", inner, rest) when it is U inner D rest with the D closing
-    the initial U.
-    """
-    s = str(word)
-    if not s:
-        return ()
-    if s[0] == "H":
-        return ("H", MotzkinWord(s[1:]))
-    y = 0
-    for i, ch in enumerate(s):
-        y += _DELTA[ch]
-        if y == 0:
-            return ("U", MotzkinWord(s[1:i]), MotzkinWord(s[i + 1 :]))
-    raise AssertionError("unreachable: validated word must return to the axis")
-
-
-def first_return_reassemble(parts) -> MotzkinWord:
-    if parts == ():
-        return MotzkinWord("")
-    if parts[0] == "H":
-        return MotzkinWord("H" + parts[1])
-    return MotzkinWord("U" + parts[1] + "D" + parts[2])
-
-
 class _LabeledWord:
     """A step word with a tuple of labels: what a labeled Motzkin path and
     a Laguerre history share.  Each subclass, a frozen dataclass, validates
@@ -400,22 +371,30 @@ def labeled_to_history(m: LabeledMotzkinPath) -> LaguerreHistory:
     return LaguerreHistory._trusted(str.__new__(BicoloredMotzkinWord, m.word), tuple(labels))
 
 
+def _grow(walks: list[tuple[str, int]], letters, length: int, room: int) -> list[tuple[str, int]]:
+    """The walks (word, height) extended by ``length`` letters, each letter
+    in the order of ``letters``, its (letter, height change) pairs.  With
+    ``room`` letters to come after the words, a walk is kept while the
+    letters left can bring it back to 0 and it takes no T at height 0."""
+    for _ in range(length):
+        room -= 1
+        walks = [(w + ch, y + dy) for w, y in walks for ch, dy in letters
+                 if 0 <= y + dy <= room and (y or ch != "T")]
+    return walks
+
+
 def _words(n: int, alphabet: str, cls: type[str]) -> Iterator:
     """All height-valid words of length n over the alphabet, lexicographic,
-    as instances of cls; every step keeps the height valid, so they skip
-    the scan of cls's validating constructor.  A stack of (prefix, height)
-    replaces a nested recursive generator, a cycle only the cyclic GC frees."""
-    stack = [("", 0)]
-    while stack:
-        prefix, y = stack.pop()
-        rest = n - len(prefix)
-        if rest == 0:
-            yield str.__new__(cls, prefix)
-            continue
-        for ch in reversed(alphabet):  # the first letter is extended first
-            y2 = y + _DELTA[ch]
-            if 0 <= y2 < rest and not (ch == "T" and y == 0):
-                stack.append((prefix + ch, y2))
+    as instances of cls, which skip the scan of its validating constructor.
+    Each word joins a prefix of length n // 2 that can still be completed
+    with one of the suffixes from its end height back to 0; both halves
+    are listed once, in order, so the words come in order."""
+    letters = tuple((ch, _DELTA[ch]) for ch in alphabet)
+    rest = n - n // 2
+    suffixes = {y: [w for w, _ in _grow([("", y)], letters, rest, rest)] for y in range(rest + 1)}
+    for prefix, y in _grow([("", 0)], letters, n // 2, n):
+        for suffix in suffixes[y]:
+            yield str.__new__(cls, prefix + suffix)
 
 
 def enumerate_motzkin(n: int) -> Iterator[MotzkinWord]:
@@ -459,22 +438,32 @@ def path_series(ring: SeriesRing, step: Callable, start: Hashable = "") -> Trunc
     [n=2] z^2 + 1
     [n=3] z^3 + 3*z
     """
-    layer = {(0, start): {(0,) * len(ring.vars): 1}}
-    terms: dict[tuple[int, ...], int] = {}
+    # a term's key is its packed exponents with x at the word's length, and
+    # each step adds the packed (1, weight), which _pack refuses when negative
+    # or too large; the guard bits are checked after every layer, before a
+    # field past MAX_EXPONENT could carry into the next one
+    packed: dict = {}
+    layer = {(0, start): {0: 1}}
+    terms: dict[int, int] = {}
     for n in range(ring.order + 1):
         following: dict = {}
         for (y, state), poly in layer.items():
             for e, c in poly.items() if y == 0 else ():
-                terms[(n, *e)] = terms.get((n, *e), 0) + c
+                terms[e] = terms.get(e, 0) + c
             for letter, y2 in (("U", y + 1), ("D", y - 1), ("H", y)):
                 if 0 <= y2 < ring.order - n:
                     state2, inc = step(state, min(y, y2), letter)
+                    d = packed.get(inc)
+                    if d is None:
+                        d = packed[inc] = ring._pack((1, *inc))
                     target = following.setdefault((y2, state2), {})
                     for e, c in poly.items():
-                        e2 = tuple(map(add, e, inc))
+                        e2 = e + d
                         target[e2] = target.get(e2, 0) + c
+        for poly in following.values():
+            ring._checked(poly)
         layer = following
-    return TruncatedSeries(ring, terms)
+    return _series(ring, terms)
 
 
 def motzkin_number(n: int) -> int:

@@ -399,6 +399,14 @@ def test_table_empty_subword_factor_is_usage(capsys):
     assert "empty factor" in err
 
 
+@pytest.mark.parametrize("stat", ["subword:XY", "subword:T", "subword:u d", "subword:UDT"])
+def test_table_subword_factor_off_the_path_alphabet_is_usage(capsys, stat):
+    code, out, err = run(capsys, "table", "--class", "M", "--stats", stat, "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: statistic {stat!r} has a factor with a letter other than U, D, H\n"
+
+
 def test_table_motzkin_class_takes_no_patterns(capsys):
     code, out, err = run(capsys, "table", "--class", "M(3412)", "--stats", "peaks", "--n", "3")
     assert code == 2

@@ -6,8 +6,10 @@ from hypothesis import given, strategies as st
 
 from motzkinperm import checks, cli
 from motzkinperm.bijections import CONSECUTIVE_PATTERNS, window_pattern_counts
-from motzkinperm.errors import BoundExceededError
+from motzkinperm.errors import BoundExceededError, InvariantError
+from motzkinperm.genfun import CLUSTER_123, CLUSTER_132
 from motzkinperm.paths import (
+    _DELTA,
     _NAMED_STATISTICS,
     DESCENT_FACTORS,
     PATH_STATISTIC_NAMES,
@@ -22,8 +24,6 @@ from motzkinperm.paths import (
     enumerate_histories,
     enumerate_labeled,
     enumerate_motzkin,
-    first_return_decompose,
-    first_return_reassemble,
     height_list,
     history_label_bound,
     history_to_labeled,
@@ -34,7 +34,7 @@ from motzkinperm.paths import (
     subword_count,
     tunnels,
 )
-from motzkinperm.series import SeriesRing, TruncatedSeries
+from motzkinperm.series import MAX_EXPONENT, SeriesRing, TruncatedSeries
 
 step_words = st.text(alphabet="UDHT", max_size=10)
 
@@ -222,6 +222,22 @@ def test_enumerated_words_pass_their_constructors():
             assert type(w) is BicoloredMotzkinWord and BicoloredMotzkinWord(w) == w
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_enumerators_list_every_valid_word_in_order(n):
+    # the words join a prefix of length n // 2 with a suffix, so odd and even
+    # n, and n = 0 and 1 with an empty prefix, each take their own split
+    for enumerate_, word_type in ((enumerate_motzkin, MotzkinWord), (enumerate_bicolored, BicoloredMotzkinWord)):
+        expected = []
+        for letters in itertools.product("DHTU" if word_type._second_color else "DHU", repeat=n):
+            try:
+                expected.append(word_type("".join(letters)))
+            except ValueError:
+                pass
+        got = list(enumerate_(n))
+        assert got == sorted(expected)
+        assert all(type(w) is word_type for w in got)
+
+
 def test_weakly_descending_subpaths_identity():
     # every non-empty Motzkin word ends with H or D, so the count is always
     # the number of HU and DU factors plus one
@@ -229,6 +245,34 @@ def test_weakly_descending_subpaths_identity():
         for w in enumerate_motzkin(n):
             wd = named_statistic(w, "weakly_descending_subpaths")
             assert wd == subword_count(w, "HU") + subword_count(w, "DU") + 1
+
+
+def first_return_decompose(word: MotzkinWord):
+    """Unique first-return decomposition.
+
+    Returns () for the empty word, ("H", m) when the word is H followed by
+    m, and ("U", inner, rest) when it is U inner D rest with the D closing
+    the initial U.
+    """
+    s = str(word)
+    if not s:
+        return ()
+    if s[0] == "H":
+        return ("H", MotzkinWord(s[1:]))
+    y = 0
+    for i, ch in enumerate(s):
+        y += _DELTA[ch]
+        if y == 0:
+            return ("U", MotzkinWord(s[1:i]), MotzkinWord(s[i + 1 :]))
+    raise AssertionError("unreachable: validated word must return to the axis")
+
+
+def first_return_reassemble(parts) -> MotzkinWord:
+    if parts == ():
+        return MotzkinWord("")
+    if parts[0] == "H":
+        return MotzkinWord("H" + parts[1])
+    return MotzkinWord("U" + parts[1] + "D" + parts[2])
 
 
 def test_first_return_decompose():
@@ -461,3 +505,33 @@ def test_path_series_counts_motzkin_words():
     ring = SeriesRing(10)
     got = path_series(ring, lambda state, h, c: (state, ()))
     assert [got.coefficient(n) for n in range(11)] == [{(): motzkin_number(n)} for n in range(11)]
+
+
+@pytest.mark.parametrize("weight", [(-1,), (MAX_EXPONENT + 1,), (), (0, 0)])
+def test_path_series_refuses_a_step_weight_the_ring_cannot_store(weight):
+    with pytest.raises(ValueError):
+        path_series(SeriesRing(3, ("z",)), lambda state, h, c: (state, weight))
+
+
+def test_path_series_refuses_an_exponent_summed_past_max_exponent():
+    with pytest.raises(InvariantError):
+        path_series(SeriesRing(4, ("z",)), lambda state, h, c: (state, (20000,)))
+
+    # w gains 30000 at the first U and at a U of height 1, and 10000 at a D
+    # of height 1: below order 5 only UUDD passes MAX_EXPONENT, at 70000,
+    # which carries into z's field and leaves w's guard bit clear, so only a
+    # check after each layer sees its prefix UU at 60000
+    def step(seen_u, h, c):
+        w = 30000 if c == "U" and (h == 1 or not seen_u) else 10000 if c == "D" and h == 1 else 0
+        return seen_u or c == "U", (0, w)
+
+    with pytest.raises(InvariantError):
+        path_series(SeriesRing(4, ("z", "w")), step, False)
+
+
+def test_no_path_route_reaches_a_refusal():
+    routes = [(checks.NAMED_SERIES[name](0).ring.vars, step, start)
+              for name, (_, start, step) in checks.PATH_ROUTES.items()]
+    routes += [(("t", "z"), checks._factor_occurrences(spec.words), "") for spec in (CLUSTER_123, CLUSTER_132)]
+    for names, step, start in routes:
+        assert path_series(SeriesRing(16, names), step, start)
