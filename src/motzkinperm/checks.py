@@ -70,6 +70,7 @@ from .paths import (
 from .patterns import PatternSpec, enumerate_class, occurrences
 from .permutations import (
     ENUMERATION_BOUND,
+    SERIES_ORDER_BOUND,
     asc_count,
     check_size,
     coinv_count,
@@ -409,7 +410,8 @@ def check_counting(nmax: int = 10) -> list[str]:
 def check_series_engine(trials: int = 40, seed: int = 7) -> list[str]:
     """Randomized exact self-tests of the series engine: ring laws,
     inversion, square roots, substitution round-trips, quadratic
-    residuals, fixed points."""
+    residuals, fixed points, and one lazy solve at ``SERIES_ORDER_BOUND``
+    checked on the eager kernel, since no solve checks itself."""
     failures: list[str] = []
     rng = random.Random(seed)
     ring = SeriesRing(8, ("t", "z"))
@@ -454,6 +456,13 @@ def check_series_engine(trials: int = 40, seed: int = 7) -> list[str]:
     geom = fixed_point_solve(lambda f: one + f * x, ring)
     if geom != (one - x).invert():
         failures.append("fixed point of 1 + x f is not the geometric series")
+    # the eager product checks the lazy one at every degree gf serves
+    top = SeriesRing(SERIES_ORDER_BOUND, ("t",))
+    a = top.x() - top.monomial(1, 2, t=1)
+    catalan_like = lambda f: a * f * f + 1
+    f = fixed_point_solve(catalan_like, top)
+    if catalan_like(f) != f:
+        failures.append(f"lazy root of F = 1 + (x - x^2 t) F^2 is not fixed at order {top.order}")
     return failures
 
 

@@ -127,17 +127,22 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _parse_eval(text: str) -> dict[str, Fraction]:
-    """``name=value,...`` as rationals; a repeated name or a zero
-    denominator is a usage error."""
+    """``name=value,...`` as rationals; a part with no ``=``, no name or
+    no value, a repeated name, or a value that is not a rational or has a
+    zero denominator is a usage error."""
     assignments = {}
     for part in text.split(","):
-        name, _, value = (s.strip() for s in part.partition("="))
+        name, equals, value = (s.strip() for s in part.partition("="))
+        if not (name and equals and value):
+            raise ValueError(f"--eval part {part.strip()!r} is not name=value")
         if name in assignments:
             raise ValueError(f"--eval assigns {name} twice")
         try:
             assignments[name] = Fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"--eval {name}={value} has a zero denominator") from None
+        except ValueError:
+            raise ValueError(f"--eval {name}={value} is not a rational") from None
     return assignments
 
 

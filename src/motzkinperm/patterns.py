@@ -66,14 +66,6 @@ class PatternSpec:
         # than their length.
         object.__setattr__(self, "_got", [0] * (m + 1) + [math.inf])
 
-    @property
-    def is_classical(self) -> bool:
-        return not self.adjacency
-
-    @property
-    def is_consecutive(self) -> bool:
-        return self.adjacency == frozenset(range(1, len(self.letters)))
-
     @classmethod
     def classical(cls, letters: Iterable[int]) -> "PatternSpec":
         return cls(Permutation(letters), frozenset())

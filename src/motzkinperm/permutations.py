@@ -28,11 +28,11 @@ ENUMERATION_BOUND = 12
 #: --n 12`` is refused after 19 s and ``S(4321)`` after 44 s (2 CPUs,
 #: Python 3.11), where the whole walk would take about 50 min.
 WALK_BUDGET = 10**7
-#: Ceiling for the series order of ``gf --N`` and ``verify --N``: the largest
-#: order at which the slowest named series takes about 10 s.  ``gf --name
-#: inv_des_fix --N 30`` takes 10 s and ``verify genfun --N 30``, which adds
-#: the continued-fraction route and the path transfer matrix, 27 s on a
-#: 2-CPU machine (Python 3.11); ``coinv_des`` is next at 2 s.  Exponents
+#: Ceiling for the series order of ``gf --N`` and ``verify --N``, set where
+#: the slowest named series took about 10 s.  ``gf --name inv_des_fix --N
+#: 30`` takes about 3 s and ``verify genfun --N 30``, which adds the
+#: continued-fraction route and the path transfer matrix, about 12 s on a
+#: 2-CPU machine (Python 3.11); ``coinv_des`` is next at 0.9 s.  Exponents
 #: stay far below ``series.MAX_EXPONENT``: inv and coinv are at most C(30, 2).
 SERIES_ORDER_BOUND = 30
 

@@ -8,6 +8,8 @@ about a minute on a laptop.
 """
 
 from motzkinperm import checks
+from motzkinperm.permutations import SERIES_ORDER_BOUND
+from motzkinperm.series import TruncatedSeries
 
 
 def _report(criterion: str, failures: list[str]) -> None:
@@ -68,3 +70,20 @@ def test_criterion_8_series_self_tests():
     """Randomized exact self-tests of the series engine: ring laws, sqrt,
     inversion, substitution round-trips, quadratic residuals."""
     _report("8 series-self-tests", checks.check_series_engine(trials=40, seed=7))
+
+
+def test_series_self_tests_solve_at_full_order(monkeypatch):
+    """A lazy kernel that loses every term above x^24 passes every solve
+    at order 24 or less; only a check at the bound sees it."""
+    assert checks.check_series_engine() == []
+    solve = checks.fixed_point_solve
+
+    def lose_the_top(mapping, ring):
+        f = solve(mapping, ring)
+        if ring.order < SERIES_ORDER_BOUND:
+            return f
+        return TruncatedSeries(ring, {(n, *e): c for n in range(25) for e, c in f.coefficient(n).items()})
+
+    monkeypatch.setattr(checks, "fixed_point_solve", lose_the_top)
+    failures = checks.check_series_engine()
+    assert len(failures) == 1 and f"not fixed at order {SERIES_ORDER_BOUND}" in failures[0]

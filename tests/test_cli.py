@@ -431,7 +431,12 @@ def test_gf_motzkin_totals(capsys):
     }
 
 
-@pytest.mark.parametrize("assignment, message", [("z=1/0", "zero denominator"), ("z=1,z=2", "assigns z twice")])
+@pytest.mark.parametrize("assignment, message", [
+    ("z=1/0", "zero denominator"), ("z=1,z=2", "assigns z twice"),
+    ("z", "--eval part 'z' is not name=value"), (",", "--eval part '' is not name=value"),
+    ("z=1,=2", "--eval part '=2' is not name=value"), ("z=", "--eval part 'z=' is not name=value"),
+    ("z=abc", "--eval z=abc is not a rational"),
+])
 def test_gf_eval_input_error_is_a_usage_error(capsys, assignment, message):
     code, out, err = run(capsys, "gf", "--name", "weak_valley", "--N", "3", "--eval", assignment)
     assert code == 2

@@ -32,12 +32,12 @@ perms = st.integers(min_value=0, max_value=7).flatmap(
 
 def test_parse_forms():
     classical = PatternSpec.parse("3412")
-    assert classical.is_classical and not classical.adjacency
+    assert not classical.adjacency
     vinc = PatternSpec.parse("1_32")
     assert vinc.letters == Permutation.parse("132")
     assert vinc.adjacency == frozenset({2})
     cons = PatternSpec.parse("_123")
-    assert cons.is_consecutive
+    assert cons.adjacency == frozenset({1, 2})
     assert PatternSpec.parse("12_3").adjacency == frozenset({1})
 
 

@@ -306,12 +306,20 @@ def test_fixed_point_through_a_sum_inside_a_product():
     assert fixed_point_solve(lambda g: ring.one() + x * (g + x * g), ring) == fibonacci
 
 
-def test_fixed_point_checks_the_lazy_solution_at_full_order():
-    # a map that answers a lazy and an eager series differently: only the
-    # eager full-order check sees that the lazy solution is not fixed
-    ring = SeriesRing(4, ())
-    with pytest.raises(InvariantError, match="not fixed"):
-        fixed_point_solve(lambda g: ring.one() + ring.x() * (g if isinstance(g, TruncatedSeries) else g * 2), ring)
+def test_fixed_point_calls_its_map_once():
+    # the one call on the lazy unknown is the whole solve; the result is
+    # not run through the map again
+    ring = SeriesRing(6, ("t",))
+    x, t = ring.x(), ring.var("t")
+    calls = []
+
+    def phi(g):
+        calls.append(g)
+        return ring.one() + x * t * g * g
+
+    f = fixed_point_solve(phi, ring)
+    assert len(calls) == 1 and isinstance(calls[0], LazySeries)
+    assert ring.one() + x * t * f * f == f
 
 
 def test_lazy_product_overflow_raises():
@@ -325,7 +333,7 @@ def test_lazy_product_overflow_raises():
 
     with pytest.raises(InvariantError, match="exceeds"):
         fixed_point_solve(phi, ring)
-    assert len(calls) == 1  # raised by a lazy product, before the eager check
+    assert len(calls) == 1  # raised by a lazy product on the one call
 
 
 def test_lazy_product_overflow_raises_through_scalar_and_sum_nodes():
@@ -408,7 +416,7 @@ def test_one_term_factor_is_a_key_shift(seed):
             for node in (lazy * m, m * lazy):
                 assert node.val == lazy.val + d
                 same_terms(materialized(node), general)
-    assert (RING.monomial(7, RING.order) * (RING.x() * f)).is_zero()
+    assert not RING.monomial(7, RING.order) * (RING.x() * f)
 
 
 def test_one_term_factor_overflow_raises_in_both_kernels():
@@ -510,9 +518,9 @@ def test_continued_fraction_matches_the_recurrence_at_order_18():
 
 
 def test_continued_fraction_matches_the_recurrence_at_order_20():
-    # the continued fraction inverts one series per level, each through the
-    # lazy solve loop with no eager check; the recurrence runs the checked
-    # fixed point
+    # the continued fraction inverts one series per level and the recurrence
+    # solves one fixed point, both on the lazy solve loop: the two routes
+    # share the kernel, so this checks their algebra, not the kernel
     assert inv_des_fix_gf(20, method="continued-fraction") == inv_des_fix_gf(20)
 
 
@@ -695,12 +703,12 @@ def test_truncation_at_the_order():
     edge = ring.monomial(1, 5, y=MAX_EXPONENT)
     assert edge.coefficient(5) == {(MAX_EXPONENT,): 1}
     assert edge.x_degrees() == [5]
-    assert ring.x(6).is_zero()
-    assert TruncatedSeries(ring, {(6, 0): 1}).is_zero()
+    assert not ring.x(6)
+    assert not TruncatedSeries(ring, {(6, 0): 1})
     assert ring.monomial(1, 2, y=3) * ring.monomial(1, 3, y=MAX_EXPONENT - 3) == edge
-    assert (ring.monomial(1, 3, y=MAX_EXPONENT) * ring.x(3)).is_zero()
+    assert not ring.monomial(1, 3, y=MAX_EXPONENT) * ring.x(3)
     assert (ring.one() - ring.x()).invert().coefficient(5) == {(0,): 1}
-    assert edge.truncate(4).is_zero()
+    assert not edge.truncate(4)
     # a rescale at the largest step the order allows, and one more unit at the order
     assert rescale_x(ring.x(5), y=MAX_EXPONENT // 5) == ring.monomial(1, 5, y=MAX_EXPONENT // 5 * 5)
     with pytest.raises(InvariantError, match="exceeds"):
