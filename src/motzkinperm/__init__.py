@@ -25,7 +25,6 @@ from .permutations import (
     is_involution,
     parse_cycles,
     reverse_complement,
-    run_anatomy,
     standard_cycles,
 )
 from .patterns import PatternSpec, avoids, avoids_all, consecutive_occurrences, enumerate_class, occurrences

@@ -12,13 +12,20 @@ multi-letter block are glued; separate blocks are unconstrained.  A string
 without "_" is a classical pattern.  Examples: "3412" is classical,
 "1_32" has letters 1,3,2 with 3,2 glued, "_123" is the consecutive
 pattern on 1,2,3.
+
+Each spec is matched by Python source generated from its plan and compiled
+the first time a count, a containment test or a class walk needs it: one
+nested loop per free letter, one fixed index per glued letter, and each
+letter's value bounds as comparisons with local variables.  The spec keeps
+the three functions it compiles, one each behind ``occurrences``,
+``contains`` and the prune of ``enumerate_class``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .permutations import Permutation, _walk
 
@@ -60,11 +67,20 @@ class PatternSpec:
         # last - 1 and last + 1.
         lookahead = m >= 2 and m - 1 not in self.adjacency
         object.__setattr__(self, "_lookahead", plan(m - 1) if lookahead else None)
-        # got[v] is the host value matched to pattern value v.  got[0] lies
-        # below every host value (they start at 1); got[m + 1] is unbounded
-        # because the partial words of enumerate_class hold values larger
-        # than their length.
-        object.__setattr__(self, "_got", [0] * (m + 1) + [math.inf])
+
+    @cached_property
+    def _occurrences(self) -> Callable[[Sequence[int]], int]:
+        return _compile(self._plan, len(self.letters), "count")
+
+    @cached_property
+    def _contains(self) -> Callable[[Sequence[int]], bool]:
+        return _compile(self._plan, len(self.letters), "first")
+
+    @cached_property
+    def _dead(self) -> Callable[[Sequence[int], int], bool]:
+        if self._lookahead is None:
+            return _compile(self._plan, len(self.letters), "dead")
+        return _compile(self._lookahead, len(self.letters), "dead", self.letters[-1])
 
     @classmethod
     def classical(cls, letters: Iterable[int]) -> "PatternSpec":
@@ -115,62 +131,69 @@ class PatternSpec:
         return "_" + text if len(blocks[0]) > 1 else text
 
 
-def _count(values: Sequence, spec: PatternSpec, ends: Iterable, first: bool = False) -> int:
-    """Number of occurrences of the pattern in values whose last letter sits
-    at one of the 0-based indices in ``ends``; with ``first``, stop at the
-    first one found (the result is then 0 or 1).
+def _compile(plan: tuple, m: int, mode: str, gap: int = 0) -> Callable:
+    """The matcher of ``plan`` (see ``PatternSpec``), for a pattern of
+    length m, as a function compiled from generated source.
 
-    Letters are placed right to left from that anchor.  A letter glued to
-    its right neighbour has one candidate position, a free letter scans
-    leftwards, and each candidate is compared only with the placed letters
-    nearest to it in value (see ``PatternSpec._plan``)."""
-    plan = spec._plan
-    m = len(plan)
-    if m == 0:
-        return 1
-    got = spec._got[:]
-    last = plan[-1][1]
-    found = 0
-    for end in ends:
-        if end >= m - 1:
-            got[last] = values[end]
-            found += _extend(values, plan, got, m - 2, end, first, None, 0)
-            if found and first:
-                break
-    return found
+    Mode "count" gives ``match(w)``, the number of occurrences in w, and
+    "first" gives ``match(w)``, whether w holds one.  Mode "dead" gives
+    ``match(w, free)``, whether an occurrence ends at the last letter of w;
+    with ``gap``, the value of the pattern's last letter, it also needs a
+    value of the bitmask ``free`` strictly between the host values of
+    pattern values gap - 1 and gap + 1.
 
-
-def _extend(
-    values: Sequence, plan: tuple, got: list, k: int, right: int, first: bool, free: int | None, gap: int
-) -> int:
-    """Ways to place letters k, k-1, ..., 0 of a plan left of index right,
-    where right > k leaves each of them room.  With ``free``, the bitmask
-    of ``enumerate_class``'s values not yet placed, a way counts only if
-    one of them lies strictly between the host values of pattern values
-    gap - 1 and gap + 1.  Not a closure: a self-recursive closure is a
-    reference cycle, which only the cyclic garbage collector frees."""
-    if k < 0:
-        if free is None:
-            return 1
-        # the least free value above got[gap - 1] must lie below got[gap + 1]
-        over = free & -(2 << got[gap - 1])
-        return 1 if over and (over & -over).bit_length() - 1 < got[gap + 1] else 0
-    glued, value, below, above = plan[k]
-    low, high = got[below], got[above]
-    if glued:  # one candidate, right - 1
-        if low < values[right - 1] < high:
-            got[value] = values[right - 1]
-            return _extend(values, plan, got, k - 1, right - 1, first, free, gap)
-        return 0
-    found = 0
-    for pos in range(right - 1, k - 1, -1):
-        v = values[pos]
-        if low < v < high:
-            got[value] = v
-            found += _extend(values, plan, got, k - 1, pos, first, free, gap)
-            if found and first:
-                break
-    return found
+    Letters are placed right to left from an anchor.  Letter k stands at
+    index ``p<k>`` and pattern value u is matched to host value ``v<u>``.
+    A glued letter has one index, its right neighbour's less one.  A free
+    letter scans leftwards from there to index k, which leaves room for the
+    k letters left of it.  Each candidate is compared only with the placed
+    letters nearest to it in value; pattern values 0 and m + 1 stand for no
+    bound.  The source holds only names, keywords and the ints of the plan
+    (the ``:d`` formats refuse anything else)."""
+    # the statement run when every letter is placed, and the last return
+    hit, end = ("found += 1", "return found") if mode == "count" else ("return True", "return False")
+    code = [(1, "found = 0")] if mode == "count" else []
+    depth = 1
+    if plan:
+        top = len(plan) - 1
+        if mode == "dead":
+            code.append((1, f"p{top:d} = len(w) - 1"))
+            if top:
+                code += [(1, f"if p{top:d} < {top:d}:"), (2, "return False")]
+        else:
+            code.append((1, f"for p{top:d} in range({top:d}, len(w)):"))
+            depth = 2
+        code.append((depth, f"v{plan[top][1]:d} = w[p{top:d}]"))
+        # letter k + 1 stands at index p<anchor> - shift
+        anchor, shift = top, 0
+        for k in range(top - 1, -1, -1):
+            glued, value, below, above = plan[k]
+            if glued:
+                shift += 1
+                code.append((depth, f"v{value:d} = w[p{anchor:d} - {shift:d}]"))
+            else:
+                code.append((depth, f"for p{k:d} in range(p{anchor:d} - {shift + 1:d}, {k - 1:d}, -1):"))
+                depth += 1
+                code.append((depth, f"v{value:d} = w[p{k:d}]"))
+                anchor, shift = k, 0
+            lower = f"v{below:d} < " if below else ""
+            upper = f" < v{above:d}" if above <= m else ""
+            code.append((depth, f"if {lower}v{value:d}{upper}:"))
+            depth += 1
+        if gap:
+            # bits v<gap - 1> + 1 up to v<gap + 1> - 1
+            lower = f"(2 << v{gap - 1:d})" if gap > 1 else "2"
+            mask = f"(1 << v{gap + 1:d}) - {lower}" if gap < m else f"-{lower}"
+            code.append((depth, f"if free & ({mask}):"))
+            depth += 1
+    code += [(depth, hit), (1, end)]
+    source = "def match(w, free):\n" if mode == "dead" else "def match(w):\n"
+    source += "".join("    " * d + line + "\n" for d, line in code)
+    # the namespace keeps no reference to the function, so the function's
+    # globals do not refer back to it
+    namespace: dict = {}
+    exec(compile(source, "<pattern matcher>", "exec"), namespace)
+    return namespace.pop("match")
 
 
 def occurrences(p: Permutation, t: PatternSpec) -> int:
@@ -180,12 +203,12 @@ def occurrences(p: Permutation, t: PatternSpec) -> int:
     >>> occurrences(Permutation.parse("431256"), PatternSpec.parse("2_13"))
     2
     """
-    return _count(p, t, range(len(p)))
+    return t._occurrences(p)
 
 
 def contains(p: Permutation, t: PatternSpec) -> bool:
     """Early-exit containment test; equivalent to occurrences(p, t) > 0."""
-    return _count(p, t, range(len(p)), first=True) > 0
+    return t._contains(p)
 
 
 def avoids(p: Permutation, t: PatternSpec) -> bool:
@@ -220,31 +243,25 @@ def enumerate_class(
     completes an occurrence of letters 1..m-1 and a free value, which every
     completion places later, lies in the interval letter m needs; no prefix
     that completes the whole pattern is reached, since a shorter one is
-    dead.  A walk that tests more than ``permutations.WALK_BUDGET``
-    prefixes raises ``BoundExceededError``.
+    dead.  Each prefix costs one call of each pattern's compiled prune,
+    anchored at the prefix's last letter (see ``_compile``).  A walk that
+    tests more than ``permutations.WALK_BUDGET`` prefixes raises
+    ``BoundExceededError``.
 
     >>> len(list(enumerate_class(4, [PatternSpec.parse("132"), PatternSpec.parse("_123")])))
     9
     """
     if base not in ("all", "involutions"):
         raise ValueError(f"unknown base {base!r}")
-    # each pattern once: its plan, a got buffer of this call's own, the
-    # index k of the letter left of the anchor (a prefix shorter than k + 2
-    # holds no occurrence), the pattern value anchored at the new letter,
-    # and for a look-ahead plan the value of the last letter, else 0
-    tests = []
-    for s in patterns:
-        plan = s._lookahead or s._plan
-        gap = s.letters[-1] if s._lookahead else 0
-        tests.append((plan, s._got[:], len(plan) - 2, plan[-1][1] if plan else 0, gap))
+    tests = [s._dead for s in patterns]
+    if len(tests) > 1:
 
-    def dead(word: list[int], free: int) -> bool:
-        end = len(word) - 1
-        for plan, got, k, last, gap in tests:
-            if end > k:
-                got[last] = word[end]
-                if _extend(word, plan, got, k, end, True, free if gap else None, gap):
+        def dead(word: list[int], free: int) -> bool:
+            for test in tests:
+                if test(word, free):
                     return True
-        return False
+            return False
 
-    yield from _walk(n, base == "involutions", dead if tests else None)
+    else:
+        dead = tests[0] if tests else None
+    yield from _walk(n, base == "involutions", dead)

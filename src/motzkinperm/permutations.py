@@ -11,9 +11,6 @@ descents.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from itertools import compress
-from operator import not_
 from typing import Callable, Iterable, Iterator
 
 from .errors import BoundExceededError
@@ -224,24 +221,6 @@ def _parse_ints(parts: Iterable[str], what: str, text: str) -> tuple[int, ...]:
         raise ValueError(f"cannot parse {what} from {text!r}") from None
 
 
-ROLE_HEAD = "head"
-ROLE_TAIL = "tail"
-ROLE_HEAD_TAIL = "head-tail"
-ROLE_BOARDER = "boarder"
-
-
-@dataclass(frozen=True)
-class RunAnatomy:
-    """Decomposition into maximal increasing factors plus per-position roles.
-
-    A run of length 1 contributes a single head-tail; a longer run
-    contributes a head, a tail, and boarders in between.
-    """
-
-    runs: tuple[tuple[int, ...], ...]
-    roles: tuple[str, ...]
-
-
 def ascending_runs(p: Permutation) -> tuple[tuple[int, ...], ...]:
     """Maximal increasing factors of the one-line word.
 
@@ -258,19 +237,6 @@ def ascending_runs(p: Permutation) -> tuple[tuple[int, ...], ...]:
     if current:
         runs.append(tuple(current))
     return tuple(runs)
-
-
-def run_anatomy(p: Permutation) -> RunAnatomy:
-    runs = ascending_runs(p)
-    roles: list[str] = []
-    for run in runs:
-        if len(run) == 1:
-            roles.append(ROLE_HEAD_TAIL)
-        else:
-            roles.append(ROLE_HEAD)
-            roles.extend([ROLE_BOARDER] * (len(run) - 2))
-            roles.append(ROLE_TAIL)
-    return RunAnatomy(runs, tuple(roles))
 
 
 def enumerate_permutations(n: int) -> Iterator[Permutation]:
@@ -299,9 +265,10 @@ def _walk(
     whose position j < i holds i must hold j at position i; otherwise
     position i takes i itself or a free value above it.
 
-    One loop over an explicit stack of choice iterators, one per filled
-    position, yields every member; a walk past ``WALK_BUDGET`` prefixes
-    raises ``BoundExceededError``."""
+    One loop over an explicit stack, which holds per filled position the
+    bitmask of the values still to try there, tries the least bit first and
+    yields every member; a walk past ``WALK_BUDGET`` prefixes raises
+    ``BoundExceededError``."""
     what = "involution enumeration" if involutions else "class enumeration"
     check_size(n, what)
     if n == 0:
@@ -310,42 +277,36 @@ def _walk(
     budget = WALK_BUDGET
     nodes = 0
     word: list[int] = []
-    # position[v] is where value v stands, 0 while v is free; the choice
-    # iterators read it lazily, so each skips the values placed left of it
-    position = [0] * (n + 1)
-    position[0] = 1  # 0 is never a choice
     free = (1 << (n + 1)) - 2
-    stack = [compress(range(n + 1), map(not_, position))]
+    # position 1 may take every value, in either base
+    stack = [free]
     while stack:
-        v = next(stack[-1], 0)
-        if not v:
+        untried = stack[-1]
+        if not untried:
             stack.pop()
             if word:
-                v = word.pop()
-                position[v] = 0
-                free |= 1 << v
+                free |= 1 << word.pop()
             continue
+        bit = untried & -untried
+        stack[-1] = untried ^ bit
         nodes += 1
         if nodes > budget:
             raise BoundExceededError(n, budget, what, "prefixes")
-        i = len(word) + 1
-        word.append(v)
-        position[v] = i
-        free ^= 1 << v
+        word.append(bit.bit_length() - 1)
+        free ^= bit
         if prune is None or not prune(word, free):
+            i = len(word)
             if i < n:
-                i += 1
                 if not involutions:
-                    stack.append(compress(range(n + 1), map(not_, position)))
-                elif position[i]:
-                    stack.append(iter((position[i],)))
-                else:
-                    stack.append(compress(range(i, n + 1), map(not_, position[i:])))
+                    stack.append(free)
+                elif free >> (i + 1) & 1:
+                    stack.append(free >> (i + 1) << (i + 1))
+                else:  # value i + 1 stands at position j, so j goes here
+                    stack.append(2 << word.index(i + 1))
                 continue
             yield Permutation._trusted(word)
         word.pop()
-        position[v] = 0
-        free |= 1 << v
+        free ^= bit
 
 
 def involution_number(n: int) -> int:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, strategies as st
@@ -34,11 +35,11 @@ from motzkinperm.patterns import PatternSpec, avoids, enumerate_class
 from motzkinperm.permutations import (
     Permutation,
     asc_count,
+    ascending_runs,
     enumerate_involutions,
     enumerate_permutations,
     identity,
     parse_cycles,
-    run_anatomy,
     standard_cycles,
 )
 
@@ -280,7 +281,58 @@ def test_check_diagram_runs_no_matcher_per_permutation(monkeypatch):
     assert report.ok and report.checked == 720 + 76
 
 
-ROLE_STEP = {"head": "U", "tail": "D", "head-tail": "H", "boarder": "T"}
+ROLE_HEAD = "head"
+ROLE_TAIL = "tail"
+ROLE_HEAD_TAIL = "head-tail"
+ROLE_BOARDER = "boarder"
+
+
+@dataclass(frozen=True)
+class RunAnatomy:
+    """Decomposition into maximal increasing factors plus per-position roles.
+
+    A run of length 1 contributes a single head-tail; a longer run
+    contributes a head, a tail, and boarders in between.
+    """
+
+    runs: tuple[tuple[int, ...], ...]
+    roles: tuple[str, ...]
+
+
+def run_anatomy(p: Permutation) -> RunAnatomy:
+    runs = ascending_runs(p)
+    roles: list[str] = []
+    for run in runs:
+        if len(run) == 1:
+            roles.append(ROLE_HEAD_TAIL)
+        else:
+            roles.append(ROLE_HEAD)
+            roles.extend([ROLE_BOARDER] * (len(run) - 2))
+            roles.append(ROLE_TAIL)
+    return RunAnatomy(runs, tuple(roles))
+
+
+def test_run_anatomy_examples():
+    assert ascending_runs(Permutation.parse("346512")) == ((3, 4, 6), (5,), (1, 2))
+    assert ascending_runs(Permutation.parse("826913547")) == ((8,), (2, 6, 9), (1, 3, 5), (4, 7))
+    anatomy = run_anatomy(identity(5))
+    assert anatomy.runs == ((1, 2, 3, 4, 5),)
+    assert anatomy.roles == ("head", "boarder", "boarder", "boarder", "tail")
+
+
+@given(st.integers(min_value=0, max_value=7).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
+def test_run_roles_counts(word):
+    p = Permutation(word)
+    anatomy = run_anatomy(p)
+    long_runs = sum(1 for r in anatomy.runs if len(r) >= 2)
+    singletons = sum(1 for r in anatomy.runs if len(r) == 1)
+    assert anatomy.roles.count("head") == long_runs
+    assert anatomy.roles.count("tail") == long_runs
+    assert anatomy.roles.count("head-tail") == singletons
+    assert sum(len(r) for r in anatomy.runs) == len(p)
+
+
+ROLE_STEP = {ROLE_HEAD: "U", ROLE_TAIL: "D", ROLE_HEAD_TAIL: "H", ROLE_BOARDER: "T"}
 
 
 def brute_force_history(p):

@@ -145,17 +145,29 @@ def test_enumerate_class_equals_filtered_permutations_random(n, specs):
     assert list(enumerate_class(n, specs)) == expected
 
 
-#: every pattern of length 1 to 3 with every set of adjacencies: 1 + 4 + 24
+#: every pattern of length 1 to 4 with every set of adjacencies, so every
+#: shape of generated matcher: 1 + 4 + 24 + 192
 SHORT_SPECS = [
     PatternSpec(Permutation(letters), frozenset(i for i, glued in enumerate(gluing, 1) if glued))
-    for m in range(1, 4)
+    for m in range(1, 5)
     for letters in itertools.permutations(range(1, m + 1))
     for gluing in itertools.product((False, True), repeat=m - 1)
 ]
 
 
+def test_every_short_pattern_counts_as_brute_force_on_s5():
+    s5 = list(enumerate_permutations(5))
+    for spec in SHORT_SPECS:
+        for p in s5:
+            expected = brute_force_occurrences(p, spec)
+            assert occurrences(p, spec) == expected, (p, spec)
+            assert contains(p, spec) == (expected > 0), (p, spec)
+    empty = PatternSpec.consecutive(())
+    assert all(occurrences(p, empty) == 1 for p in s5)
+
+
 def test_every_short_pattern_alone_equals_the_filtered_base():
-    assert len(SHORT_SPECS) == len(set(SHORT_SPECS)) == 29
+    assert len(SHORT_SPECS) == len(set(SHORT_SPECS)) == 221
     for n in range(7):
         perms, invs = list(enumerate_permutations(n)), list(enumerate_involutions(n))
         for spec in SHORT_SPECS:
@@ -211,10 +223,17 @@ def test_lookahead_prunes_dead_prefixes(monkeypatch):
 def test_walks_and_matcher_leave_no_reference_cycles():
     # A self-recursive closure is a function <-> cell cycle that only the
     # cyclic garbage collector frees, so a walk that made one per prefix or
-    # per match ran the collector inside itself.
+    # per match ran the collector inside itself.  A matcher whose globals
+    # held the matcher would be such a cycle too, so run also compiles the
+    # matchers of a fresh spec, as ``table`` parses one per call.
     specs = [PatternSpec.parse(t) for t in ("132", "_123", "1_32", "1_23", "3412", "2_13")]
 
     def run():
+        fresh = PatternSpec.parse("2_41_3")
+        list(enumerate_class(7, [fresh]))
+        list(enumerate_class(7, [fresh], base="involutions"))
+        occurrences(Permutation.parse("3517246"), fresh)
+        contains(Permutation.parse("3517246"), fresh)
         list(enumerate_class(7, specs[0:2]))
         list(enumerate_class(7, specs[2:4]))
         list(enumerate_class(8, specs[4:5], base="involutions"))

@@ -9,7 +9,6 @@ from motzkinperm.errors import BoundExceededError
 from motzkinperm.permutations import (
     ENUMERATION_BOUND,
     Permutation,
-    ascending_runs,
     coinv_count,
     cycles_to_permutation,
     des_count,
@@ -23,7 +22,6 @@ from motzkinperm.permutations import (
     is_involution,
     parse_cycles,
     reverse_complement,
-    run_anatomy,
     standard_cycles,
     validate_standard_cycles,
 )
@@ -139,26 +137,6 @@ def test_validate_standard_cycles_rejects():
         validate_standard_cycles(((1, 2), (3,)))  # increasing leasts
     with pytest.raises(ValueError):
         validate_standard_cycles(((1, 3),))  # not a partition of 1..n
-
-
-def test_run_anatomy_examples():
-    assert ascending_runs(Permutation.parse("346512")) == ((3, 4, 6), (5,), (1, 2))
-    assert ascending_runs(Permutation.parse("826913547")) == ((8,), (2, 6, 9), (1, 3, 5), (4, 7))
-    anatomy = run_anatomy(identity(5))
-    assert anatomy.runs == ((1, 2, 3, 4, 5),)
-    assert anatomy.roles == ("head", "boarder", "boarder", "boarder", "tail")
-
-
-@given(perms)
-def test_run_roles_counts(word):
-    p = Permutation(word)
-    anatomy = run_anatomy(p)
-    long_runs = sum(1 for r in anatomy.runs if len(r) >= 2)
-    singletons = sum(1 for r in anatomy.runs if len(r) == 1)
-    assert anatomy.roles.count("head") == long_runs
-    assert anatomy.roles.count("tail") == long_runs
-    assert anatomy.roles.count("head-tail") == singletons
-    assert sum(len(r) for r in anatomy.runs) == len(p)
 
 
 def test_enumeration_counts():
