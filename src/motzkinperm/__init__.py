@@ -27,7 +27,7 @@ from .permutations import (
     reverse_complement,
     standard_cycles,
 )
-from .patterns import PatternSpec, avoids, avoids_all, consecutive_occurrences, enumerate_class, occurrences
+from .patterns import PatternSpec, avoids, avoids_all, enumerate_class, occurrences
 from .paths import (
     BicoloredMotzkinWord,
     LabeledMotzkinPath,

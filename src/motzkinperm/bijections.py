@@ -76,11 +76,12 @@ def perm_to_history(p: Permutation) -> LaguerreHistory:
     Values enter in increasing order, as in ``history_to_perm``, while the
     head positions of the open runs (head entered, tail not yet) are kept
     in word order.  A value is a head when it is first or follows a larger
-    letter, and a tail when it is last or precedes a smaller one.  The open
-    runs before its own run are exactly the runs it counts, so its label is
-    the index of its run's head in that list.  Its length is the height the
-    step starts from, and a T or D step's own run is in it, so every label
-    is within its bound and the history is built without re-checking it.
+    letter, and a tail when it precedes a smaller one, or the 0 put after
+    the word.  The open runs before its own run are exactly the runs it
+    counts, so its label is the index of its run's head in that list.  Its
+    length is the height the step starts from, and a T or D step's own run
+    is in it, so every label is within its bound and the history is built
+    without re-checking it.
 
     >>> str(perm_to_history(Permutation.parse("826913547")))
     'UUTUDTDHD | l=0,0,1,2,1,0,1,0,0'
@@ -88,9 +89,14 @@ def perm_to_history(p: Permutation) -> LaguerreHistory:
     n = len(p)
     pos = [0] * (n + 1)
     head_of = [0] * n
+    head = prev = 0
     for k, v in enumerate(p):
+        if v < prev:
+            head = k
         pos[v] = k
-        head_of[k] = k if k == 0 or p[k - 1] > v else head_of[k - 1]
+        head_of[k] = head
+        prev = v
+    after = (*p[1:], 0)
     steps = []
     labels = []
     opened: list[int] = []
@@ -98,12 +104,17 @@ def perm_to_history(p: Permutation) -> LaguerreHistory:
         k = pos[v]
         head = head_of[k]
         label = bisect_left(opened, head)
-        step = "TDUH"[2 * (head == k) + (k == n - 1 or p[k + 1] < v)]
-        if step == "U":
-            opened.insert(label, k)
-        elif step == "D":
+        if head == k:
+            if after[k] < v:
+                steps.append("H")
+            else:
+                steps.append("U")
+                opened.insert(label, k)
+        elif after[k] < v:
+            steps.append("D")
             del opened[label]
-        steps.append(step)
+        else:
+            steps.append("T")
         labels.append(label)
     word = str.__new__(BicoloredMotzkinWord, "".join(steps))
     return LaguerreHistory._trusted(word, tuple(labels))

@@ -14,7 +14,7 @@ of its start point otherwise.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
 from .permutations import _parse_ints, check_size, refuse_negative
@@ -206,30 +206,38 @@ def named_statistic(word: MotzkinWord | str, name: str) -> int:
 PATH_STATISTIC_NAMES = tuple(_NAMED_STATISTICS)
 
 
-class _LabeledWord:
+class _LabeledWord(tuple):
     """A step word with a tuple of labels: what a labeled Motzkin path and
-    a Laguerre history share.  Each subclass, a frozen dataclass, validates
-    its own labels and names its word type in ``_word_type``, which checks
-    the steps of ``from_json_dict`` before its labels are read."""
+    a Laguerre history share.  A record is the tuple (tag, word, labels),
+    so hashing and comparing run on the tuple, and the tag keeps a path
+    from equaling a history with the same word and labels.  Each subclass
+    names its tag, its word type in ``_word_type`` (which checks the steps
+    of ``from_json_dict`` before its labels are read), and checks its own
+    labels against the step heights in ``_validate``."""
 
-    def _scan(self) -> tuple[int, ...]:
-        """Store the word as an exact ``_word_type`` and the labels as a tuple,
-        and return the heights from the one scan that validates the steps."""
-        steps = self.word if isinstance(self.word, str) else "".join(self.word)
-        heights = _scan_heights(steps, self._word_type)
-        object.__setattr__(self, "word", str.__new__(self._word_type, steps))
-        object.__setattr__(self, "labels", tuple(self.labels))
-        return heights
+    __slots__ = ()
+    word = property(itemgetter(1))
+    labels = property(itemgetter(2))
+
+    def __new__(cls, word: str | Iterable[str], labels: Iterable[int]):
+        steps = word if isinstance(word, str) else "".join(word)
+        heights = _scan_heights(steps, cls._word_type)
+        record = tuple.__new__(cls, (cls._tag, str.__new__(cls._word_type, steps), tuple(labels)))
+        record._validate(heights)
+        return record
 
     @classmethod
     def _trusted(cls, word: BicoloredMotzkinWord, labels: tuple[int, ...]):
         """The record (word, labels) without the scan and the label checks,
         for a builder whose word is an exact ``cls._word_type`` and whose
-        labels are a tuple that ``__post_init__`` would accept."""
-        record = object.__new__(cls)
-        object.__setattr__(record, "word", word)
-        object.__setattr__(record, "labels", labels)
-        return record
+        labels are a tuple that ``_validate`` would accept."""
+        return tuple.__new__(cls, (cls._tag, word, labels))
+
+    def __getnewargs__(self):
+        return self[1], self[2]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(word={self[1]!r}, labels={self[2]!r})"
 
     @property
     def n(self) -> int:
@@ -243,16 +251,14 @@ class _LabeledWord:
         return cls(cls._word_type(data["steps"]), tuple(data["labels"]))
 
 
-@dataclass(frozen=True)
 class LabeledMotzkinPath(_LabeledWord):
     """Motzkin word whose D steps carry labels not exceeding their heights."""
 
+    __slots__ = ()
+    _tag = "path"
     _word_type = MotzkinWord
-    word: MotzkinWord
-    labels: tuple[int, ...]
 
-    def __post_init__(self):
-        heights = self._scan()
+    def _validate(self, heights: tuple[int, ...]) -> None:
         d_heights = [h for ch, h in zip(self.word, heights) if ch == "D"]
         if len(self.labels) != len(d_heights):
             raise ValueError(
@@ -311,17 +317,15 @@ def history_label_bound(step: str, height: int) -> int:
     return height - 1 if step == "T" else height
 
 
-@dataclass(frozen=True)
 class LaguerreHistory(_LabeledWord):
     """Bicolored Motzkin word plus one non-negative label per step, with
     every label bounded per ``history_label_bound``."""
 
+    __slots__ = ()
+    _tag = "history"
     _word_type = BicoloredMotzkinWord
-    word: BicoloredMotzkinWord
-    labels: tuple[int, ...]
 
-    def __post_init__(self):
-        heights = self._scan()
+    def _validate(self, heights: tuple[int, ...]) -> None:
         if len(self.labels) != len(self.word):
             raise ValueError(f"expected {len(self.word)} labels, got {len(self.labels)}")
         for i, (ch, label, h) in enumerate(zip(self.word, self.labels, heights), start=1):

@@ -88,6 +88,12 @@ class PatternSpec:
 
     @classmethod
     def consecutive(cls, letters: Iterable[int]) -> "PatternSpec":
+        """The pattern whose occurrences are windows of adjacent letters;
+        build it once per pattern and pass it to ``occurrences``.
+
+        >>> occurrences(Permutation.parse("321"), PatternSpec.consecutive((3, 2, 1)))
+        1
+        """
         word = Permutation(letters)
         return cls(word, frozenset(range(1, len(word))))
 
@@ -217,16 +223,6 @@ def avoids(p: Permutation, t: PatternSpec) -> bool:
 
 def avoids_all(p: Permutation, ts: Iterable[PatternSpec]) -> bool:
     return all(avoids(p, t) for t in ts)
-
-
-def consecutive_occurrences(p: Permutation, t: Permutation) -> int:
-    """Number of length-m windows of p order isomorphic to t.  Hot callers
-    pass a prebuilt ``PatternSpec.consecutive(t)`` to ``occurrences``.
-
-    >>> consecutive_occurrences(Permutation.parse("321"), Permutation.parse("321"))
-    1
-    """
-    return occurrences(p, PatternSpec.consecutive(t))
 
 
 def enumerate_class(

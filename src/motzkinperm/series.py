@@ -3,18 +3,17 @@
 A series lives in a ring fixed by a truncation order N and a tuple of
 auxiliary variable names: it is a polynomial in the distinguished variable
 x, kept modulo x^(N+1), whose coefficients are multivariate polynomials in
-the auxiliary variables with exact rational coefficients.  There is no
-floating point anywhere; coefficients are Python ints or Fractions.
+the auxiliary variables with exact rational coefficients, Python ints or
+Fractions; there is no floating point anywhere.
 
-Terms are stored sparsely as a dict from packed keys to coefficients: the
-exponents (x_degree, e_1, ..., e_m) in one int, e_m in the lowest 16-bit
-field and x above all m fields, so that multiplying monomials adds keys,
-keys sort by x-degree, and a key is kept when below the cap (N+1) << 16m.
-Each field holds 0..MAX_EXPONENT under a guard bit; a product that sets one
-raises InvariantError.  Tuples are packed and unpacked only at the ring
-boundary: the constructor, monomial, coefficient, the substitutions and
-``to_json_dict``; the renderers read exponents off the keys by shift and
-mask.
+Terms are a dict from packed keys to coefficients: the exponents
+(x_degree, e_1, ..., e_m) in one int, e_m in the lowest 16-bit field and x
+above all m fields, so multiplying monomials adds keys, keys sort by
+x-degree, and a key is kept when below the cap (N+1) << 16m.  Each field
+holds 0..MAX_EXPONENT under a guard bit; a product that sets one raises
+InvariantError.  Tuples are packed and unpacked only at the ring boundary
+(the constructor, monomial, coefficient, the substitutions and
+``to_json_dict``); the renderers read exponents off the keys.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import reduce
 from itertools import groupby
 from operator import or_
 from typing import Callable, Iterable, Mapping
@@ -43,9 +42,7 @@ def _norm(c: Coefficient) -> Coefficient:
     return c
 
 
-def _clear_denominators(
-    terms: Mapping[int, Coefficient],
-) -> tuple[int, Mapping[int, int]]:
+def _clear_denominators(terms: Mapping[int, Coefficient]) -> tuple[int, Mapping[int, int]]:
     """A common denominator d of the coefficients, and the terms times d,
     which are all ints; multiplying ints avoids a gcd per product."""
     d = 1
@@ -60,11 +57,31 @@ def _clear_denominators(
     }
 
 
+def _divided(terms: dict[int, int], d: int) -> dict[int, Coefficient]:
+    """The nonzero terms over d, normed; over 1 with no zero, the terms."""
+    if d == 1 and 0 not in terms.values():
+        return terms
+    return {k: v if d == 1 else _norm(Fraction(v, d)) for k, v in terms.items() if v}
+
+
+class _Cleared(dict):
+    """The x^n coefficients of ``coeff`` as ``_clear_denominators`` gives
+    them, each computed on first lookup."""
+
+    __slots__ = ("coeff",)
+
+    def __init__(self, coeff):
+        self.coeff = coeff
+
+    def __missing__(self, n):
+        self[n] = value = _clear_denominators(self.coeff(n))
+        return value
+
+
 def _shifted(terms: Mapping[int, Coefficient], key: int, c: Coefficient, room: int) -> dict[int, Coefficient]:
-    """The terms with a key below ``room``, each key plus ``key`` and each
-    coefficient times c, a nonzero normed rational: the product by the
-    one-term c*key.  c = 1 does no arithmetic, and an int c norms only
-    Fraction coefficients, as an int times an int is an int."""
+    """The product by the one-term c*key, c a nonzero normed rational, of
+    the terms with a key below ``room``.  c = 1 does no arithmetic, and an
+    int c norms only Fraction coefficients."""
     if c == 1:
         return {k + key: v for k, v in terms.items() if k < room}
     if type(c) is int:
@@ -214,17 +231,10 @@ class TruncatedSeries:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "TruncatedSeries":
-        return _series(self.ring, {k: -v for k, v in self.terms.items()})
+    __neg__ = lambda self: _series(self.ring, {k: -v for k, v in self.terms.items()})
 
-    def __sub__(self, other) -> "TruncatedSeries":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "TruncatedSeries":
-        return (-self) + other
+    __sub__ = lambda self, other: self + -other
+    __rsub__ = lambda self, other: -self + other
 
     def __mul__(self, other) -> "TruncatedSeries":
         """The truncated product.  A rational factor scales each term, and 1
@@ -260,23 +270,19 @@ class TruncatedSeries:
                     break
                 key = k1 + k2
                 out[key] = get(key, 0) + c1 * c2
-        d = da * db
-        terms = {k: v if d == 1 else _norm(Fraction(v, d)) for k, v in out.items() if v}
-        return _series(ring, ring._checked(terms))
+        return _series(ring, ring._checked(_divided(out, da * db)))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("only non-negative integer powers")
-        result = self.ring.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
+        result, base = self.ring.one(), self
+        while exponent:
+            if exponent & 1:
                 result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
+            base = base * base if exponent > 1 else base
+            exponent >>= 1
         return result
 
     # -- inversion, square root ---------------------------------------------
@@ -285,13 +291,10 @@ class TruncatedSeries:
         return any(0 < k < 1 << self.ring._x_shift for k in self.terms)
 
     def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse; requires the x^0 coefficient to be a
-        nonzero rational constant free of auxiliary variables.
-
-        G is the fixed point of G = (1 - (u - c_0)*G)/c_0, a contraction as
-        u - c_0 has x-valuation >= 1; with integer coefficients and
-        c_0 = +-1 every coefficient of G is an int.
-        """
+        """Multiplicative inverse of u, whose x^0 coefficient c_0 must be a
+        nonzero rational free of auxiliary variables: the fixed point of
+        G = (1 - (u - c_0)*G)/c_0, a contraction as u - c_0 has x-valuation
+        >= 1.  With integer coefficients and c_0 = +-1, G has int ones."""
         c0 = self.constant_term()
         if c0 == 0 or self._has_auxiliary_constant():
             raise ValueError("invert needs a nonzero constant term free of auxiliaries")
@@ -299,12 +302,10 @@ class TruncatedSeries:
         return fixed_point_solve(lambda g: g * ((self - c0) * -recip) + recip, self.ring)
 
     def sqrt(self) -> "TruncatedSeries":
-        """Square root with constant term +1; requires constant term 1.
-
-        With u = 1 + v, the root is 1 + v*G for G the quadratic root of
-        v*G^2 + 2*G - 1 = 0, that is G = (1 - v*G^2)/2 (``solve_quadratic``).
-        G is the exact root up to the order, 2G + vG^2 = 1 there, so
-        (1 + vG)^2 = 1 + v(2G + vG^2) = u there, as v has x-valuation >= 1.
+        """Square root with constant term 1 of u = 1 + v, whose constant term
+        must be 1: 1 + v*G for G the root of v*G^2 + 2*G - 1 = 0, that is
+        G = (1 - v*G^2)/2 (``solve_quadratic``).  As 2G + vG^2 = 1 up to the
+        order and v has x-valuation >= 1, (1 + vG)^2 = 1 + v(2G + vG^2) = u.
         """
         if self.constant_term() != 1 or self._has_auxiliary_constant():
             raise ValueError("sqrt needs constant term exactly 1")
@@ -314,11 +315,8 @@ class TruncatedSeries:
     # -- substitution --------------------------------------------------------
 
     def substitute(self, var: str, replacement: "TruncatedSeries | Coefficient") -> "TruncatedSeries":
-        """Replace an auxiliary variable by a series in the same ring.
-
-        x is only rescaled, x -> x*m, through ``rescale_x``, which shifts
-        exponents instead of building powers of x.
-        """
+        """Replace an auxiliary variable by a series in the same ring; x is
+        only rescaled, x -> x*m, by ``rescale_x``, which shifts exponents."""
         if var == "x":
             raise ValueError("x is only rescaled, x -> x*m, with rescale_x")
         if isinstance(replacement, (int, Fraction)):
@@ -341,11 +339,9 @@ class TruncatedSeries:
 
     def evaluate(self, **values: Coefficient) -> "TruncatedSeries":
         """Evaluate auxiliary variables at rationals, returning a series in
-        the ring on the remaining variables.
-
-        Each value is normalised once, so integral values keep int
-        coefficients ints, and each power value**e is computed once; the
-        kept exponents move field by field into the target's packed keys.
+        the ring on the remaining variables.  Each value is normed once, so
+        integral values keep int coefficients ints, and each power value**e
+        is computed once; kept exponents move field by field into the keys.
         """
         ring = self.ring
         drop = {ring._index(name): _norm(Fraction(value)) for name, value in values.items()}
@@ -375,19 +371,9 @@ class TruncatedSeries:
 
     # -- extraction and rendering --------------------------------------------
 
-    def _by_degree(self) -> dict[int, dict[tuple[int, ...], Coefficient]]:
-        """The nonzero coefficients by ascending x-degree, each a dict from
-        ascending auxiliary exponent vectors to rationals."""
-        ring, out = self.ring, {}
-        for k in sorted(self.terms):
-            x, *exps = ring._unpack(k)
-            out.setdefault(x, {})[tuple(exps)] = self.terms[k]
-        return out
-
     def _lines(self, keys: list[int]) -> dict[int, str]:
         """The coefficient of each x-degree among ``keys``, packed keys in
-        descending order, rendered as ``format_poly`` does: the degrees
-        descend, and exponents are read from a key by shift and mask."""
+        descending order, rendered as ``format_poly`` does."""
         ring, terms = self.ring, self.terms
         fields = tuple(zip(ring.vars, ring._shifts))
         return {
@@ -435,10 +421,11 @@ class TruncatedSeries:
 
     def to_json_dict(self) -> dict:
         """Exponent-vector export: {"x^n": {"e1,e2": coefficient}}."""
-        out = {
-            str(n): {",".join(map(str, exps)): v if isinstance(v, int) else str(v) for exps, v in poly.items()}
-            for n, poly in self._by_degree().items()
-        }
+        out: dict = {}
+        for k in sorted(self.terms):
+            n, *exps = self.ring._unpack(k)
+            v = self.terms[k]
+            out.setdefault(str(n), {})[",".join(map(str, exps))] = v if isinstance(v, int) else str(v)
         return {"order": self.ring.order, "vars": list(self.ring.vars), "coefficients": out}
 
 
@@ -456,7 +443,7 @@ class LazySeries:
     sum, a rational multiple (by 1 the series itself), a shift by a factor
     of one term, a product or a rescale x -> x*m (``rescale_x``).  ``val``
     is a lower bound of its x-valuation.  Only product operands keep their
-    coefficients; the rest recompute them."""
+    coefficients (``_Cleared``); the rest recompute them."""
 
     __slots__ = ("ring", "coeff", "val")
 
@@ -484,12 +471,13 @@ class LazySeries:
         """A rational factor scales each coefficient: 1 gives self back and
         0 the zero series.  An eager factor of one term c*x^d*m shifts:
         the x^n coefficient is the x^(n-d) one of self times c*m, asked
-        for only from n - d >= val.  In a product, pairs below either
-        factor's valuation are skipped; each other pair at degree n asks
-        first for the factor coefficient of lower degree (on the tie at
-        degree 0, ``other``'s) and skips the pair when it is zero: so
-        x-valuation >= 1 keeps F_n off F_n.  Shifts and products check
-        guard bits as the eager product does."""
+        for only from n - d >= val.  A product skips pairs below either
+        valuation, asks first for the factor coefficient of lower degree
+        (on the tie at 0, ``other``'s) and skips the pair when it is zero,
+        so x-valuation >= 1 keeps F_n off F_n.  It keeps each factor
+        coefficient as ints over d (``_clear_denominators``), sums the
+        pairs on ints over their common denominator and divides each term
+        once.  Shifts and products check guard bits as the eager one does."""
         ring = self.ring
         if isinstance(other, (int, Fraction)):
             if other == 1:
@@ -505,22 +493,35 @@ class LazySeries:
                 ring, lambda n: ring._checked(_shifted(self.coeff(n - d), m, c, ring._cap)) if n >= low else {}, low
             )
         a, b = self._lift(other), self
-        fa, fb = cache(a.coeff), cache(b.coeff)
+        fa, fb = _Cleared(a.coeff), _Cleared(b.coeff)
 
         def coeff(n):
             acc = {}
             get = acc.get
+            den = 1
             for i in range(a.val, n - b.val + 1):
-                u = fa(i) if 2 * i <= n else fb(n - i)
-                v = u and (fb(n - i) if 2 * i <= n else fa(i))
-                if v:
-                    for k1, c1 in u.items():
-                        for k2, c2 in v.items():
-                            key = k1 + k2
-                            acc[key] = get(key, 0) + c1 * c2
-            return self.ring._checked({k: _norm(c) for k, c in acc.items() if c})
+                early = 2 * i <= n
+                du, u = fa[i] if early else fb[n - i]
+                if not u:
+                    continue
+                dv, v = fb[n - i] if early else fa[i]
+                if not v:
+                    continue
+                d = du * dv
+                if d != den:
+                    if den % d:
+                        lift = d // math.gcd(den, d)
+                        den *= lift
+                        for k in acc:
+                            acc[k] *= lift
+                    u = {k: c * (den // d) for k, c in u.items()}
+                for k1, c1 in u.items():
+                    for k2, c2 in v.items():
+                        key = k1 + k2
+                        acc[key] = get(key, 0) + c1 * c2
+            return ring._checked(_divided(acc, den))
 
-        return LazySeries(self.ring, coeff, a.val + b.val)
+        return LazySeries(ring, coeff, a.val + b.val)
 
     __rmul__ = __mul__
 
@@ -575,8 +576,8 @@ def solve_quadratic(
     F is the only root, the fixed point of the x-adic contraction
     F = -(F*(F*a + (b - b0)) + c)/b0, so F(0) = -c(0)/b0 and there is no
     branch to choose; Horner's form takes two products per coefficient.
-    Every algebraic named series is such a root, and so is
-    ``sqrt``.  The Catalan series, C = 1 + x*C^2:
+    Every algebraic named series is such a root, and so is ``sqrt``.  The
+    Catalan series, C = 1 + x*C^2:
 
     >>> ring = SeriesRing(5, ())
     >>> f = solve_quadratic(ring.x(), ring.const(-1), 1)
@@ -598,11 +599,10 @@ def fixed_point_solve(
     The map is called once, on a lazy unknown (``LazySeries``) whose x^n
     coefficient is that of the image.  A contraction computes F_n from
     F_0..F_(n-1) alone, each once; a map whose F_n needs F_n itself is not
-    a contraction and raises InvariantError.  The map may take its
-    constants from ``ring`` or from ``f.ring``.  The map is not run on the
-    result: ``verify series`` checks the lazy kernel at order
-    ``SERIES_ORDER_BOUND``, and ``verify genfun`` compares the named series
-    with an independent route.
+    one and raises InvariantError.  The map may take its constants from
+    ``ring`` or ``f.ring``.  It is not run on the result: ``verify series``
+    checks the lazy kernel at order ``SERIES_ORDER_BOUND``, and ``verify
+    genfun`` the named series by an independent route.
 
     >>> ring = SeriesRing(5, ())
     >>> f = fixed_point_solve(lambda f: f.ring.one() + f.ring.x() * f * f, ring)
@@ -631,12 +631,11 @@ def continued_fraction(
     """Evaluate 1 / (1 + b_0 - c_0 / (1 + b_1 - c_1 / (...))) to the ring's
     truncation order.
 
-    Every level must contribute positive x-degree (all b_i and c_i have
-    x-valuation >= 1), so levels 0..order+1 are always enough: a deeper
-    tail cannot change the result.  For the same reason level i only needs
-    order max(order - i, 0): c_(i-1) shifts it up by at least one degree.
-    So each level runs in that ring, and the deeper level's value, of one
-    order less, is lifted into it as it is.
+    Every b_i and c_i must have x-valuation >= 1, so levels 0..order+1 are
+    enough: a deeper tail cannot change the result.  For the same reason
+    level i needs only order max(order - i, 0), as c_(i-1) shifts it up by
+    a degree; each level runs in that ring, and the deeper level's value,
+    of one order less, is lifted into it as it is.
     """
     f = ring.one()
     for i in range(ring.order + 1, -1, -1):

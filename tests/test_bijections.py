@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ from motzkinperm.paths import (
     named_statistic,
     tunnels,
 )
-from motzkinperm.patterns import PatternSpec, avoids, enumerate_class
+from motzkinperm.patterns import PatternSpec, avoids, enumerate_class, occurrences
 from motzkinperm.permutations import (
     Permutation,
     asc_count,
@@ -194,6 +195,25 @@ def test_map_restricted_inverse_follows_the_tunnels(capsys):
         assert capsys.readouterr().out.strip() == str(expected)
 
 
+#: sha256 of the str forms, one a line, of Γ over S_0..S_8 and of Ψ over
+#: the involutions of size 0..10, each size in enumeration order.  They pin
+#: both maps: a changed step, label or printed form fails here.
+GAMMA_DIGEST = "e0ab719b2cb86da64b404eb30477c4cd855d9492b9fc0d2ffbbf373cdb4e4186"
+PSI_DIGEST = "a09364295ca4ea7ffd09406596ded2fd6f4d0f3f1ad3064a6574a614c56896b5"
+
+
+def str_digest(objects) -> str:
+    h = hashlib.sha256()
+    for obj in objects:
+        h.update(f"{obj}\n".encode())
+    return h.hexdigest()
+
+
+def test_gamma_and_psi_images_match_their_digests():
+    assert str_digest(perm_to_history(p) for n in range(9) for p in enumerate_permutations(n)) == GAMMA_DIGEST
+    assert str_digest(involution_to_path(p) for n in range(11) for p in enumerate_involutions(n)) == PSI_DIGEST
+
+
 def test_window_table_is_total():
     assert len(CONSECUTIVE_OF_WINDOW) == 27
     assert set(CONSECUTIVE_OF_WINDOW) == {
@@ -203,13 +223,12 @@ def test_window_table_is_total():
 
 
 def test_window_counts_match_consecutive_occurrences():
-    from motzkinperm.patterns import consecutive_occurrences
-
+    specs = {name: PatternSpec.consecutive(Permutation.parse(name)) for name in CONSECUTIVE_OF_WINDOW.values()}
     for n in range(8):
         for p in restricted_involutions(n):
             counts = window_pattern_counts(involution_to_path(p).word)
             for name, count in counts.items():
-                assert count == consecutive_occurrences(p, Permutation.parse(name))
+                assert count == occurrences(p, specs[name])
 
 
 def test_transport_examples():

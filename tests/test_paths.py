@@ -363,6 +363,56 @@ def test_json_roundtrip():
     assert LaguerreHistory.from_json_dict(h.to_json_dict()) == h
 
 
+def test_record_forms_of_the_worked_examples():
+    h = LaguerreHistory.parse("UUTUDTDHD | l=0,0,1,2,1,0,1,0,0")
+    assert repr(h) == "LaguerreHistory(word='UUTUDTDHD', labels=(0, 0, 1, 2, 1, 0, 1, 0, 0))"
+    assert str(h) == "UUTUDTDHD | l=0,0,1,2,1,0,1,0,0"
+    assert h.to_json_dict() == {"steps": "UUTUDTDHD", "labels": [0, 0, 1, 2, 1, 0, 1, 0, 0]}
+    m = LabeledMotzkinPath.parse("UUHUD1D1HD0")
+    assert repr(m) == "LabeledMotzkinPath(word='UUHUDDHD', labels=(1, 1, 0))"
+    assert str(m) == "UUHUD1D1HD0"
+    assert m.to_json_dict() == {"steps": "UUHUDDHD", "labels": [1, 1, 0]}
+    assert repr(LaguerreHistory("", ())) == "LaguerreHistory(word='', labels=())"
+    assert str(LaguerreHistory("", ())) == "| l=" and str(LabeledMotzkinPath("", ())) == ""
+
+
+def test_records_are_immutable():
+    h = LaguerreHistory.parse("UD | l=0,0")
+    m = LabeledMotzkinPath.parse("UD0")
+    for record in (h, m):
+        for field in ("word", "labels"):
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+
+def test_a_path_never_equals_a_history():
+    # a path and a history with the same word, at n = 0 and n = 3
+    pairs = [(LabeledMotzkinPath("", ()), LaguerreHistory("", ())),
+             (LabeledMotzkinPath("HHH", ()), LaguerreHistory("HHH", (0, 0, 0))),
+             (LabeledMotzkinPath("UHD", (0,)), labeled_to_history(LabeledMotzkinPath("UHD", (0,))))]
+    for path, history in pairs:
+        assert path != history and history != path
+        assert len({path, history}) == 2
+    # valid records of size n > 0 differ in their number of labels; a
+    # history built past its label checks differs from the path only in type
+    assert LabeledMotzkinPath("UD", (0,)) != LaguerreHistory("UD", (0, 0))
+    twin = LaguerreHistory._trusted(BicoloredMotzkinWord("UDH"), (0,))
+    assert LabeledMotzkinPath("UDH", (0,)) != twin and twin != LabeledMotzkinPath("UDH", (0,))
+
+
+@pytest.mark.parametrize("records, n", [(enumerate_labeled, 6), (enumerate_histories, 5)])
+def test_equal_records_have_equal_hashes(records, n):
+    seen = list(records(n))
+    rebuilt = [type(r)(str(r.word), list(r.labels)) for r in seen]
+    parsed = [type(r).parse(str(r)) for r in seen]
+    for r, again, read in zip(seen, rebuilt, parsed):
+        assert r == again == read
+        assert hash(r) == hash(again) == hash(read)
+    assert len(set(seen) | set(rebuilt) | set(parsed)) == len(seen)
+
+
 # 76 involutions of 6 and 5! permutations
 @pytest.mark.parametrize("records, n, size", [(enumerate_labeled, 6, 76), (enumerate_histories, 5, 120)])
 def test_json_roundtrip_of_every_record(records, n, size):

@@ -10,7 +10,6 @@ from motzkinperm.patterns import (
     PatternSpec,
     avoids,
     avoids_all,
-    consecutive_occurrences,
     contains,
     enumerate_class,
     occurrences,
@@ -271,13 +270,10 @@ def test_avoids_examples():
 
 
 def test_consecutive_occurrences():
-    assert consecutive_occurrences(Permutation.parse("321"), Permutation.parse("321")) == 1
+    specs = [PatternSpec.consecutive(Permutation.parse(t)) for t in ("123", "132", "213", "231", "312", "321")]
+    assert occurrences(Permutation.parse("321"), specs[-1]) == 1
     for p in enumerate_permutations(5):
-        total = sum(
-            consecutive_occurrences(p, Permutation.parse(t))
-            for t in ("123", "132", "213", "231", "312", "321")
-        )
-        assert total == 3  # n - 2 windows
+        assert sum(occurrences(p, spec) for spec in specs) == 3  # n - 2 windows
 
 
 def test_vincular_equals_consecutive_pair_class():

@@ -389,6 +389,39 @@ def test_lazy_scalar_and_sum_nodes_match_eager(seed):
     assert la * 1 is la
 
 
+def sixths(ring: SeriesRing, shift: int) -> TruncatedSeries:
+    """Every x-degree with a term over 2, over 3 and over 6, so that the
+    pairs of a product at one degree run over denominators 4 to 36 in an
+    order that raises the common denominator more than once."""
+    terms = {}
+    for n in range(ring.order + 1):
+        for j, d in enumerate((2, 3, 6)):
+            terms[(n, (n + j + shift) % 3)] = Fraction((n + 1) * (j + 2) * (-1) ** (n + shift), d)
+    return TruncatedSeries(ring, terms)
+
+
+def test_lazy_product_over_denominators_2_3_6_equals_eager():
+    ring = SeriesRing(12, ("t",))
+    a, b = sixths(ring, 0), sixths(ring, 1)
+    for f, g in ((a, b), (b, a), (a, a), (a, b * 6), (a * 6, ring.x() + 1)):
+        same_terms(materialized(as_lazy(f) * as_lazy(g)), (f * g).terms)
+
+
+def test_lazy_product_gives_integral_coefficients_as_ints():
+    ring = SeriesRing(12, ("t",))
+    half_third = TruncatedSeries(ring, {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 3)})
+    ints = TruncatedSeries(ring, {(0, 0): 2, (1, 0): 3, (2, 1): 6, (3, 0): -4})
+    products = [as_lazy(half_third) * as_lazy(ints), as_lazy(ints) * as_lazy(ints),
+                as_lazy(sixths(ring, 0)) * as_lazy(sixths(ring, 2) * 36)]
+    for product in products:
+        values = list(materialized(product).values())
+        assert values and all(type(v) is (int if v.denominator == 1 else Fraction) for v in values)
+    # (1/2 + x t/3)(2 + 3x + 6x^2 t - 4x^3): the x^2 t term is 3 + 1
+    expected = {(0, 0): 1, (1, 0): Fraction(3, 2), (1, 1): Fraction(2, 3), (2, 1): 4,
+                (3, 0): -2, (3, 2): 2, (4, 1): Fraction(-4, 3)}
+    same_terms(materialized(products[0]), TruncatedSeries(ring, expected).terms)
+
+
 #: One-term factors (coefficient, x-degree, t, z): x-degree 0, auxiliary
 #: variables only, inside the order and at it, where every term of positive
 #: x-degree drops out of the product.
