@@ -269,17 +269,15 @@ NAMED_SERIES = {name: route[0] for name, route in PATH_ROUTES.items()}
 
 def check_genfun_tables(order: int = 12) -> list[str]:
     """Every named generating function equals the path transfer matrix of
-    its statistics at full order; the continued-fraction and recurrence
-    routes for the inversion series agree; the six pattern series satisfy
-    the window-sum identity."""
+    its statistics at full order, a route that forms no series product; the
+    six pattern series equal the cluster series of their windows and
+    satisfy the window-sum identity."""
     failures: list[str] = []
     series: dict[str, TruncatedSeries] = {}
     for name, (_, start, step) in PATH_ROUTES.items():
         got = series[name] = NAMED_SERIES[name](order)
         for n in (got - path_series(got.ring, step, start)).x_degrees():
             failures.append(f"{name} differs from the path transfer matrix at n={n}")
-    if series["inv_des_fix"] != inv_des_fix_gf(order, method="continued-fraction"):
-        failures.append(f"continued-fraction route disagrees at order {order}")
     for p in CONSECUTIVE_PATTERNS:
         if series[f"f{p}_inv"] != cluster_count_gf(ClusterSpec(tuple(_windows(p))), order):
             failures.append(f"f{p}_inv differs from the cluster series of its windows")
@@ -453,6 +451,10 @@ def check_series_engine(trials: int = 40, seed: int = 7) -> list[str]:
     u = one + ring.monomial(Fraction(1, 3), 1, t=1) - ring.monomial(Fraction(1, 2), 2, z=1)
     if u * u.invert() != one or u.sqrt() ** 2 != u:
         failures.append(f"inversion or sqrt fails for {u!r}")
+    # The draws have c_0 = 1; these invert through 1/c_0 = -1 and -2/3.
+    for u in (ring.monomial(1, 2, t=1) - one, ring.monomial(2, 1, z=1) - Fraction(3, 2)):
+        if u * u.invert() != one:
+            failures.append(f"inversion fails for {u!r}")
     geom = fixed_point_solve(lambda f: one + f * x, ring)
     if geom != (one - x).invert():
         failures.append("fixed point of 1 + x f is not the geometric series")

@@ -13,8 +13,7 @@ y marks coinversions, z marks descents, t marks pattern occurrences.
 The algebraic series are lazy fixed points, almost all of them
 power-series roots of quadratics (``series.solve_quadratic``); the
 radical closed forms of the cluster method are such roots too.  The
-q-series are fixed points of first-return maps with a rescale x -> x*m,
-or a continued fraction.
+q-series are fixed points of first-return maps with a rescale x -> x*m.
 
 Every series here is exact; the ``genfun`` suite compares each one,
 coefficient by coefficient and at full order, with the path transfer
@@ -49,7 +48,6 @@ from .permutations import (
 from .series import (
     SeriesRing,
     TruncatedSeries,
-    continued_fraction,
     fixed_point_solve,
     rescale_x,
     solve_quadratic,
@@ -59,45 +57,26 @@ from .series import (
 # joint inversion / descent / fixed-point distribution over I_n(3412)
 
 
-def inv_des_fix_gf(order: int, method: str = "recurrence") -> TruncatedSeries:
+def inv_des_fix_gf(order: int) -> TruncatedSeries:
     """Joint distribution of (inv, des, fix) over 3412-avoiding involutions,
     in variables (y, z, w).
 
     The coefficient of x^n is the polynomial summing y^inv z^des w^fix
-    over the class at size n.  Two independent routes are provided: the
-    first-return recurrence
+    over the class at size n: the fixed point of the first-return
+    recurrence
 
         F = 1 + x w F + x^2 y z F + x^2 y z^2 (F(x y^2) - 1) F,
 
-    where F(x y^2) substitutes x y^2 for x, and its unrolling as a
-    continued fraction with levels
-
-        b_i = -x y^(2i) w - x^2 y^(4i+1) z + x^2 y^(4i+1) z^2,
-        c_i = x^2 y^(4i+1) z^2.
+    where F(x y^2) substitutes x y^2 for x.
     """
     ring = SeriesRing(order, ("y", "z", "w"))
-    if method == "recurrence":
-        one, xw = ring.one(), ring.monomial(1, 1, w=1)
-        x2yz, x2yz2 = ring.monomial(1, 2, y=1, z=1), ring.monomial(1, 2, y=1, z=2)
+    one, xw = ring.one(), ring.monomial(1, 1, w=1)
+    x2yz, x2yz2 = ring.monomial(1, 2, y=1, z=1), ring.monomial(1, 2, y=1, z=2)
 
-        def phi(f: TruncatedSeries) -> TruncatedSeries:
-            return one + f * xw + f * x2yz + (rescale_x(f, y=2) - one) * x2yz2 * f
+    def phi(f: TruncatedSeries) -> TruncatedSeries:
+        return one + f * xw + f * x2yz + (rescale_x(f, y=2) - one) * x2yz2 * f
 
-        return fixed_point_solve(phi, ring)
-    if method == "continued-fraction":
-
-        def b(i: int) -> TruncatedSeries:
-            return (
-                ring.monomial(-1, 1, y=2 * i, w=1)
-                + ring.monomial(-1, 2, y=4 * i + 1, z=1)
-                + ring.monomial(1, 2, y=4 * i + 1, z=2)
-            )
-
-        def c(i: int) -> TruncatedSeries:
-            return ring.monomial(1, 2, y=4 * i + 1, z=2)
-
-        return continued_fraction(b, c, ring)
-    raise ValueError(f"unknown method {method!r}")
+    return fixed_point_solve(phi, ring)
 
 
 def weak_valley_gf(order: int) -> TruncatedSeries:

@@ -27,9 +27,9 @@ ENUMERATION_BOUND = 12
 WALK_BUDGET = 10**7
 #: Ceiling for the series order of ``gf --N`` and ``verify --N``, set where
 #: the slowest named series took about 10 s.  ``gf --name inv_des_fix --N
-#: 30`` takes about 3 s and ``verify genfun --N 30``, which adds the
-#: continued-fraction route and the path transfer matrix, about 12 s on a
-#: 2-CPU machine (Python 3.11); ``coinv_des`` is next at 0.9 s.  Exponents
+#: 30`` takes about 3 s and ``verify genfun --N 30``, which adds the path
+#: transfer matrix and the cluster series, about 8 s on a 2-CPU machine
+#: (Python 3.11); ``coinv_des`` is next at 0.9 s.  Exponents
 #: stay far below ``series.MAX_EXPONENT``: inv and coinv are at most C(30, 2).
 SERIES_ORDER_BOUND = 30
 
@@ -72,10 +72,6 @@ class Permutation(tuple):
     @property
     def n(self) -> int:
         return len(self)
-
-    def image(self, i: int) -> int:
-        """Value at 1-based position i."""
-        return self[i - 1]
 
     @classmethod
     def parse(cls, text: str) -> "Permutation":

@@ -47,9 +47,9 @@ def test_criterion_4_coinv_transport():
 
 def test_criterion_5_generating_functions():
     """All fourteen named generating functions equal the path transfer
-    matrix of their statistics at order 12, in all variables; the
-    continued-fraction and fixed-point routes agree to order 12; the six
-    pattern series satisfy the window-sum identity."""
+    matrix of their statistics at order 12, in all variables; the six
+    pattern series equal the cluster series of their windows and satisfy
+    the window-sum identity."""
     _report("5 generating-functions", checks.check_genfun_tables(order=12))
 
 

@@ -58,18 +58,6 @@ def test_inv_des_fix_matches_oracle():
     assert_matches_oracle(inv_des_fix_gf(ORDER), "I(3412)", ("inv", "des", "fix"))
 
 
-def test_inv_des_fix_routes_agree():
-    assert inv_des_fix_gf(ORDER) == inv_des_fix_gf(ORDER, method="continued-fraction")
-    with pytest.raises(ValueError):
-        inv_des_fix_gf(3, method="magic")
-
-
-def test_inv_des_fix_routes_agree_at_order_14():
-    # past the order-12 checks: the growing-precision fixed point against
-    # the continued fraction, which never iterates
-    assert inv_des_fix_gf(14) == inv_des_fix_gf(14, method="continued-fraction")
-
-
 def test_weak_valley_small_values():
     g = weak_valley_gf(4)
     assert g.coefficient(0) == {(0,): 1}

@@ -230,3 +230,6 @@ def test_no_ceiling_or_solver_knobs():
         assert "bound" not in inspect.signature(fn).parameters, fn.__qualname__
     assert "seed" not in inspect.signature(series.fixed_point_solve).parameters
     assert "depth" not in inspect.signature(series.continued_fraction).parameters
+    # each named series is built one way: no solver fork as a keyword
+    for name, fn in checks.NAMED_SERIES.items():
+        assert list(inspect.signature(fn).parameters) == ["order"], name

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from motzkinperm.errors import InvariantError
 from motzkinperm.genfun import inv_des_fix_gf
-from motzkinperm.paths import motzkin_number
+from motzkinperm.paths import catalan_number, motzkin_number
 from motzkinperm.series import (
     MAX_EXPONENT,
     LazySeries,
@@ -154,7 +154,10 @@ def test_invert_keeps_int_coefficients():
     values = [fib.coefficient(n, at={}) for n in range(21)]
     assert values[:8] == [1, 1, 2, 3, 5, 8, 13, 21]
     assert all(values[n] == values[n - 1] + values[n - 2] for n in range(2, 21))
-    assert all(type(c) is int for c in (-ring.one() + x * ring.x()).invert().terms.values())
+    inverse = (-ring.one() + x * x).invert()
+    assert all(type(c) is int for c in inverse.terms.values())
+    # 1/(x^2 - 1) = -(1 + x^2 + x^4 + ...)
+    assert [inverse.coefficient(n, at={}) for n in range(21)] == [-1 if n % 2 == 0 else 0 for n in range(21)]
 
 
 def test_sqrt_keeps_int_coefficients():
@@ -166,7 +169,7 @@ def test_sqrt_keeps_int_coefficients():
     assert [root.coefficient(n, at={}) for n in range(1, 21)] == [-2 * c for c in catalan]
 
 
-@pytest.mark.parametrize("c0", [2, Fraction(1, 3), Fraction(-5, 2)])
+@pytest.mark.parametrize("c0", [2, Fraction(1, 3), Fraction(-5, 2), -1])
 def test_invert_non_unit_constant(c0):
     ring = SeriesRing(12, ("t",))
     x, t = ring.x(), ring.var("t")
@@ -543,18 +546,27 @@ def test_continued_fraction_depth_independent():
     c = lambda i: ring.x(2)
     f = continued_fraction(b, c, ring)
     assert [f.coefficient(n, at={}) for n in range(10)] == [motzkin_number(n) for n in range(10)]
+    # the Catalan S-fraction: with c_i = x, level i needs every degree up to 9 - i
+    f = continued_fraction(lambda i: ring.zero(), lambda i: ring.x(), ring)
+    assert [f.coefficient(n, at={}) for n in range(10)] == [catalan_number(n) for n in range(10)]
 
 
 def test_continued_fraction_matches_the_recurrence_at_order_18():
-    # level i runs at order 18 - i, so a level order one too low shows here
-    assert inv_des_fix_gf(18, method="continued-fraction") == inv_des_fix_gf(18)
+    # the first-return recurrence of inv_des_fix unrolled: level i is level 0
+    # with x -> x*y^(2i)
+    ring = SeriesRing(18, ("y", "z", "w"))
 
+    def b(i):
+        return (
+            ring.monomial(-1, 1, y=2 * i, w=1)
+            + ring.monomial(-1, 2, y=4 * i + 1, z=1)
+            + ring.monomial(1, 2, y=4 * i + 1, z=2)
+        )
 
-def test_continued_fraction_matches_the_recurrence_at_order_20():
-    # the continued fraction inverts one series per level and the recurrence
-    # solves one fixed point, both on the lazy solve loop: the two routes
-    # share the kernel, so this checks their algebra, not the kernel
-    assert inv_des_fix_gf(20, method="continued-fraction") == inv_des_fix_gf(20)
+    def c(i):
+        return ring.monomial(1, 2, y=4 * i + 1, z=2)
+
+    assert continued_fraction(b, c, ring) == inv_des_fix_gf(18)
 
 
 def test_continued_fraction_rejects_constant_levels():
