@@ -16,7 +16,9 @@ from motzkinperm import (
 print("For a 3412-avoiding involution with path m:")
 print("  inv = 2 * area(m) - (number of non-trivial tunnels)")
 print("  des = number of factors among UU, DD, UH, HD, UD")
+print("  asc = number of factors among HH, HU, DH, DU (the weak valleys)")
 print("  fix = number of H steps")
+print("(each is one row of the table bijections.TRANSPORTS)")
 print()
 
 for text in ("2143", "54321687", "1234"):
@@ -24,8 +26,9 @@ for text in ("2143", "54321687", "1234"):
     m = involution_to_path(p)
     record = transport_statistics(p)
     nontrivial = sum(1 for t in tunnels(m.word) if not t.trivial)
+    shown = {name: record.direct[name] for name in ("inv", "des", "asc", "fix")}
     print(f"{str(p):24} path {str(m):14} area {area(m.word):2}  "
-          f"tunnels {nontrivial}  ->  {record.direct}")
+          f"tunnels {nontrivial}  ->  {shown}")
 print()
 
 print("Each three-step window of the path realizes one consecutive pattern")

@@ -26,18 +26,21 @@ each crossing label by one binary search in it, so both directions run
 in near-linear time.  ``foata_inverse`` reads its domain off the cut at
 left-to-right minima instead of searching for patterns.
 
+The statistic transports live in one table, ``TRANSPORTS``, one row per
+statistic and class, and ``joint_path`` joins the path steps of rows.
 ``CONSECUTIVE_OF_WINDOW`` translates every three-step window of a path
 into the consecutive pattern realized by the corresponding involution.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Callable, Hashable, Sequence
 
 from .errors import InvariantError
 from .paths import (
-    DESCENT_FACTORS,
     BicoloredMotzkinWord,
     LabeledMotzkinPath,
     LaguerreHistory,
@@ -46,13 +49,15 @@ from .paths import (
     enumerate_labeled,
     enumerate_motzkin,
     labeled_to_history,
-    subword_count,
+    named_statistic,
     tunnels,
 )
 from .patterns import PatternSpec, avoids, enumerate_class, occurrences
 from .permutations import (
     CycleForm,
     Permutation,
+    asc_count,
+    coinv_count,
     des_count,
     enumerate_involutions,
     enumerate_permutations,
@@ -297,17 +302,95 @@ CONSECUTIVE_OF_WINDOW = {
 }
 
 CONSECUTIVE_PATTERNS = ("123", "132", "213", "231", "312", "321")
-#: The consecutive pattern of each name, built once for the hot counters.
-CONSECUTIVE_SPECS = {name: PatternSpec.parse(f"_{name}") for name in CONSECUTIVE_PATTERNS}
+#: The occurrences of each consecutive pattern, its spec built once for
+#: the rows of both classes.
+_OCCURRENCES = {name: lambda p, spec=PatternSpec.parse(f"_{name}"): occurrences(p, spec)
+                for name in CONSECUTIVE_PATTERNS}
 
 
-def window_pattern_counts(word: MotzkinWord) -> dict[str, int]:
-    """Count three-step windows by the consecutive pattern they encode."""
-    counts = {name: 0 for name in CONSECUTIVE_PATTERNS}
-    s = str(word)
-    for i in range(len(s) - 2):
-        counts[CONSECUTIVE_OF_WINDOW[s[i : i + 3]]] += 1
-    return counts
+def _windows(pattern: str) -> list[str]:
+    return [w for w, p in CONSECUTIVE_OF_WINDOW.items() if p == pattern]
+
+
+def _factor_occurrences(words: Sequence[str]):
+    """t per factor ending at the step; the state is the longest suffix read
+    that is a proper prefix of a factor."""
+    prefixes = {w[:i] for w in words for i in range(len(w))}
+
+    def step(suffix: str, h: int, c: str):
+        read = suffix + c
+        count = sum(read.endswith(w) for w in words)
+        while read not in prefixes:
+            read = read[1:]
+        return read, (count,)
+
+    return step
+
+
+def _before_non_d(mark):
+    """t per step that ``mark(state, letter)`` picks out and that is not
+    followed exclusively by D's: the mark waits in the state until a non-D."""
+
+    def step(state, h: int, c: str):
+        inner, waiting = state
+        inner, marked = mark(inner, c)
+        return (inner, marked or (waiting and c == "D")), (int(waiting and c != "D"),)
+
+    return step
+
+
+def _factor_row(perm: Callable[[Permutation], int], words: Sequence[str]) -> tuple:
+    """The row of a statistic that counts the factors ``words`` of the path.
+    The factors of a row have one length, so at most one starts at each
+    position, and one look-ahead scan counts them all, overlaps included."""
+    starts = re.compile(f"(?=(?:{'|'.join(words)}))")
+    return perm, lambda w: len(starts.findall(w)), ("", _factor_occurrences(words))
+
+
+def joint_path(pairs: Sequence[tuple[Hashable, Callable]]) -> tuple[tuple, Callable]:
+    """The (start, step) pair of several statistics at once: the state is
+    the tuple of their states, and the exponents are theirs, in order."""
+    steps = [step for _, step in pairs]
+
+    def step(states: tuple, h: int, c: str):
+        moves = [f(s, h, c) for f, s in zip(steps, states)]
+        return tuple(s for s, _ in moves), tuple(e for _, inc in moves for e in inc)
+
+    return tuple(start for start, _ in pairs), step
+
+
+#: Class -> statistic, named as ``table --stats`` names it -> (its count on
+#: a member, its count on the member's path, and the ``path_series``
+#: (start, step) that weighs each letter by its share of the path count).
+#: The path is the image under Psi in I(3412), and under Gamma, a plain
+#: zero-labeled word, in S(132,_123).  The area is the sum of the step
+#: heights plus #U.
+TRANSPORTS: dict[str, dict[str, tuple]] = {
+    "I(3412)": {
+        # inv = 2*area - (non-trivial tunnels, one per U): 2h + [U] per step
+        "inv": (inv_count, lambda w: 2 * area(w) - w.count("U"),
+                (None, lambda s, h, c: (s, (2 * h + (c == "U"),)))),
+        "des": _factor_row(des_count, ("UU", "DD", "UH", "HD", "UD")),
+        # the other four of the nine two-letter factors: the weak valleys
+        "asc": _factor_row(asc_count, ("HH", "HU", "DH", "DU")),
+        "fix": (fix_count, lambda w: w.count("H"), (None, lambda s, h, c: (s, (int(c == "H"),)))),
+        **{f"occ:_{p}": _factor_row(_OCCURRENCES[p], _windows(p)) for p in CONSECUTIVE_PATTERNS},
+    },
+    "S(132,_123)": {
+        "coinv": (coinv_count, area, (None, lambda s, h, c: (s, (h + (c == "U"),)))),
+        # des = tunnels - 1 = #U + #H - 1, one per U or H after the first step
+        "des": (des_count, lambda w: max(len(tunnels(w)) - 1, 0),
+                (False, lambda started, h, c: (True, (int(started and c != "D"),)))),
+        # a tunnel is long unless its D comes right after its U
+        "occ:_213": _factor_row(_OCCURRENCES["213"], ("UU", "UH")),
+        # an up step is non-initial when a step comes before it
+        "occ:_231": _factor_row(_OCCURRENCES["231"], ("UU", "DU", "HU")),
+        "occ:_312": (_OCCURRENCES["312"], lambda w: named_statistic(w, "nonfinal_peaks"),
+                     (("", False), _before_non_d(lambda s, c: (c, s + c == "UD")))),
+        "occ:_321": (_OCCURRENCES["321"], lambda w: named_statistic(w, "distinguished_H"),
+                     (("", False), _before_non_d(lambda s, c: (c, c == "H" and s != "")))),
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -320,35 +403,19 @@ class TransportRecord:
 
 
 def transport_statistics(p: Permutation) -> TransportRecord:
-    """Compute inv, des, fix and all six consecutive-pattern counts both
-    directly and through the path image, raising InvariantError on any
-    disagreement.
-
-    On the path side: inv = 2*area - (number of non-trivial tunnels),
-    des = number of factors in {UU, DD, UH, HD, UD}, fix = number of H
-    steps, and pattern counts come from the window table.
-    """
+    """Compute every statistic of the ``I(3412)`` rows of ``TRANSPORTS``
+    (inv, des, asc, fix and the six consecutive patterns of length three)
+    both directly and on the path image, raising InvariantError on any
+    disagreement."""
     if not is_involution(p):
         raise ValueError(f"{p} is not an involution")
     if not avoids(p, CLASSICAL_3412):
         raise ValueError(f"{p} does not avoid 3412")
-    direct = {"inv": inv_count(p), "des": des_count(p), "fix": fix_count(p)}
-    for name, spec in CONSECUTIVE_SPECS.items():
-        direct[name] = occurrences(p, spec)
-
-    path = involution_to_path(p)
-    word = path.word
-    nontrivial = sum(1 for t in tunnels(word) if not t.trivial)
-    via = {
-        "inv": 2 * area(word) - nontrivial,
-        "des": sum(subword_count(word, f) for f in DESCENT_FACTORS),
-        "fix": word.count("H"),
-    }
-    via.update(window_pattern_counts(word))
+    word = involution_to_path(p).word
+    direct = {name: perm(p) for name, (perm, _, _) in TRANSPORTS["I(3412)"].items()}
+    via = {name: path_statistic(word) for name, (_, path_statistic, _) in TRANSPORTS["I(3412)"].items()}
     if direct != via:
-        raise InvariantError(
-            f"statistic transport mismatch for {p}: direct={direct} via_path={via}"
-        )
+        raise InvariantError(f"statistic transport mismatch for {p}: direct={direct} via_path={via}")
     return TransportRecord(direct, via)
 
 

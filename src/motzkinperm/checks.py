@@ -5,6 +5,9 @@ of human-readable failure records (empty means the suite passed).  The
 command-line ``verify`` verb and the acceptance tests are both thin
 wrappers around these functions, so there is a single source of truth for
 what gets verified.
+
+The statistic transports live in ``bijections.TRANSPORTS``, whose rows
+both transport suites and the path routes of the named series read.
 """
 
 from __future__ import annotations
@@ -13,18 +16,23 @@ import inspect
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .bijections import (
-    CONSECUTIVE_OF_WINDOW,
     CONSECUTIVE_PATTERNS,
-    CONSECUTIVE_SPECS,
+    TRANSPORTS,
     VINCULAR_123,
     VINCULAR_132,
+    _factor_occurrences,
+    _windows,
     check_diagram,
+    foata_inverse,
     foata_of,
+    history_to_perm,
     involution_to_path,
+    joint_path,
     motzkin_to_perm,
+    path_to_involution,
     perm_to_history,
     transport_statistics,
 )
@@ -32,6 +40,7 @@ from .errors import InvariantError
 from .genfun import (
     CLUSTER_123,
     CLUSTER_132,
+    ClassSpec,
     ClusterError,
     ClusterSpec,
     cluster_count_gf,
@@ -53,30 +62,21 @@ from .genfun import (
 )
 from .paths import (
     _DELTA,
-    DESCENT_FACTORS,
-    WEAK_VALLEY_FACTORS,
     MotzkinWord,
-    area,
     catalan_number,
     enumerate_bicolored,
     enumerate_histories,
     enumerate_labeled,
     enumerate_motzkin,
     motzkin_number,
-    named_statistic,
     path_series,
-    tunnels,
 )
-from .patterns import PatternSpec, enumerate_class, occurrences
+from .patterns import PatternSpec, enumerate_class
 from .permutations import (
     ENUMERATION_BOUND,
     SERIES_ORDER_BOUND,
-    asc_count,
     check_size,
-    coinv_count,
-    des_count,
-    enumerate_involutions,
-    enumerate_permutations,
+    cycles_to_permutation,
     involution_number,
 )
 from .series import SeriesRing, TruncatedSeries, fixed_point_solve, solve_quadratic
@@ -84,8 +84,9 @@ from .series import SeriesRing, TruncatedSeries, fixed_point_solve, solve_quadra
 
 #: Ceiling on nmax for the suites that walk all of S_n (bijection and
 #: diagram).  Their time grows about tenfold per n: on a 2-CPU machine
-#: (Python 3.11, best of 3) ``bijection`` takes 0.6 s at nmax 8 and 6.6 s at
-#: nmax 9, ``diagram`` 0.5 s and 4.4 s, so nmax 12 would run for hours.
+#: (Python 3.11, best of 3) ``bijection`` takes 0.64 s at nmax 8 and 4.2 s at
+#: nmax 9, with an 18 MiB peak, ``diagram`` 0.5 s and 4.4 s, so nmax 12
+#: would run for hours.
 ALL_PERMUTATIONS_BOUND = 9
 #: Ceiling on the random factor families of the cluster suite: about 10 s at
 #: the largest order and nmax it accepts.  ``check_cluster_engine(order=30,
@@ -101,41 +102,34 @@ def _refuse_past_bound(nmax: int, suite: str, bound: int = ENUMERATION_BOUND) ->
     check_size(nmax, f"verify {suite}", bound)
 
 
-def _crosses_off(expected: set, walk: Iterable) -> bool:
-    """Whether walk yields every member of expected once and nothing else,
-    removing each from expected as it comes: one set is held, not two."""
-    for item in walk:
-        if item not in expected:
-            return False
-        expected.remove(item)
-    return not expected
+def _onto(forward: Callable, inverse: Callable, codomain, size: int) -> list[str]:
+    """Whether ``forward`` maps a domain of ``size`` members onto the walk
+    ``codomain``: the walk yields ``size`` members in strictly increasing
+    order, so none twice, and forward after ``inverse`` fixes each."""
+    count, last = 0, None
+    for y in codomain:
+        if last is not None and not last < y:
+            return [f"{y} is listed after {last}"]
+        if forward(inverse(y)) != y:
+            return [f"{y} does not come back"]
+        count, last = count + 1, y
+    return [] if count == size else [f"{count} members listed, not {size}"]
 
 
 def check_bijection_suite(nmax: int = 8) -> list[str]:
-    """The three maps are bijections onto their stated codomains, checked
-    by image-set equality at every size up to nmax."""
+    """Gamma, foata and Psi are bijections from S_n and I_n onto the
+    histories, the vincular class and the labeled paths at every n up to
+    nmax, by a round trip from each member of the codomain."""
     _refuse_past_bound(nmax, "bijection", ALL_PERMUTATIONS_BOUND)
     failures: list[str] = []
     for n in range(nmax + 1):
-        histories = {perm_to_history(p) for p in enumerate_permutations(n)}
-        if len(histories) != math.factorial(n):
-            failures.append(f"history map not injective on S_{n}")
-        if not _crosses_off(histories, enumerate_histories(n)):
-            failures.append(f"history map image differs from all histories at n={n}")
-
-        involutions = list(enumerate_involutions(n))
-        foata_image = {foata_of(p) for p in involutions}
-        class_set = set(enumerate_class(n, (VINCULAR_132, VINCULAR_123), base="all"))
-        if len(foata_image) != len(involutions):
-            failures.append(f"foata not injective on I_{n}")
-        if foata_image != class_set:
-            failures.append(f"foata image differs from the vincular class at n={n}")
-
-        paths = {involution_to_path(p) for p in involutions}
-        if len(paths) != len(involutions):
-            failures.append(f"path map not injective on I_{n}")
-        if paths != set(enumerate_labeled(n)):
-            failures.append(f"path map image differs from labeled paths at n={n}")
+        vincular = enumerate_class(n, (VINCULAR_132, VINCULAR_123), base="all")
+        for forward, inverse, codomain, size in (
+            (perm_to_history, history_to_perm, enumerate_histories(n), math.factorial(n)),
+            (foata_of, lambda q: cycles_to_permutation(foata_inverse(q)), vincular, involution_number(n)),
+            (involution_to_path, path_to_involution, enumerate_labeled(n), involution_number(n)),
+        ):
+            failures.extend(f"{forward.__name__} at n={n}: {f}" for f in _onto(forward, inverse, codomain, size))
     return failures
 
 
@@ -150,121 +144,78 @@ def check_diagram_suite(nmax: int = 8) -> list[str]:
 
 
 def check_stat_transport(nmax: int = 10) -> list[str]:
-    """For every 3412-avoiding involution: inv = 2*area - tunnels,
-    des = descent-factor count, fix = H count, and all 27 window
-    correspondences, via transport_statistics.  As a corollary, the
-    ascent distribution over the class must equal the weak-valley
-    distribution over Motzkin words."""
+    """For every 3412-avoiding involution, each row of
+    ``TRANSPORTS["I(3412)"]`` (inv, des, asc as weak valleys, fix and the
+    six consecutive patterns by their 27 windows) on the involution against
+    its path statistic, via transport_statistics."""
     _refuse_past_bound(nmax, "stat-transport")
     failures: list[str] = []
-    spec_3412 = PatternSpec.parse("3412")
+    spec = ClassSpec.parse("I(3412)")
     for n in range(nmax + 1):
-        ascents: list[int] = []
-        for p in enumerate_class(n, (spec_3412,), base="involutions"):
+        for p in spec.members(n):
             try:
                 transport_statistics(p)
             except InvariantError as exc:
                 failures.append(str(exc))
-            ascents.append(asc_count(p))
-        valleys = sorted(named_statistic(w, "weak_valleys") for w in enumerate_motzkin(n))
-        if sorted(ascents) != valleys:
-            failures.append(f"ascent / weak-valley distributions differ at n={n}")
     return failures
 
 
-#: Over the class avoiding 132 and consecutive 123, the path statistic
-#: that the occurrences of each consecutive pattern become.
-S132_PATTERN_STATISTICS = {"213": "long_tunnels", "231": "noninitial_up",
-                           "312": "nonfinal_peaks", "321": "distinguished_H"}
-
-
 def check_s132_transport(nmax: int = 10) -> list[str]:
-    """For every member of the class avoiding 132 and consecutive 123:
-    coinv equals the area of its path, des its number of tunnels minus one,
-    each pattern count its path statistic in S132_PATTERN_STATISTICS, and
-    the tunnel reconstruction inverts the map."""
+    """For every member of the class avoiding 132 and consecutive 123: its
+    history is a plain zero-labeled Motzkin word, each row of
+    ``TRANSPORTS["S(132,_123)"]`` (coinv as area, des as tunnels minus one,
+    and the four patterns) on the member equals its path statistic on that
+    word, and the tunnel reconstruction inverts the map."""
     _refuse_past_bound(nmax, "s132-transport")
     failures: list[str] = []
-    class_patterns = (PatternSpec.parse("132"), PatternSpec.parse("_123"))
+    spec, rows = ClassSpec.parse("S(132,_123)"), TRANSPORTS["S(132,_123)"]
     for n in range(nmax + 1):
-        for p in enumerate_class(n, class_patterns, base="all"):
+        for p in spec.members(n):
             history = perm_to_history(p)
             if "T" in history.word or any(history.labels):
                 failures.append(f"history of {p} is not a plain zero-labeled word")
                 continue
             word = MotzkinWord(str(history.word))
-            if coinv_count(p) != area(word):
-                failures.append(f"coinv({p}) != area({word})")
-            if n and des_count(p) != len(tunnels(word)) - 1:
-                failures.append(f"des({p}) != tunnels({word}) - 1")
-            for pattern, statistic in S132_PATTERN_STATISTICS.items():
-                if occurrences(p, CONSECUTIVE_SPECS[pattern]) != named_statistic(word, statistic):
-                    failures.append(f"occ(_{pattern}, {p}) != {statistic}({word})")
+            for name, (perm, path_statistic, _) in rows.items():
+                if perm(p) != path_statistic(word):
+                    failures.append(f"{name}({p}) differs from its path statistic on {word}")
             if motzkin_to_perm(word) != p:
                 failures.append(f"tunnel reconstruction fails for {p}")
     return failures
 
 
 # ---------------------------------------------------------------------------
-# path-side routes: a ``path_series`` start state and step per named series
+# path-side routes: the statistics of each named series, by class
 
 
-def _factor_occurrences(words: Sequence[str], mark_h: bool = True):
-    """t per factor ending at the step (and z per H); the state is the
-    longest suffix read that is a proper prefix of a factor."""
-    prefixes = {w[:i] for w in words for i in range(len(w))}
-
-    def step(suffix: str, h: int, c: str):
-        read = suffix + c
-        count = sum(read.endswith(w) for w in words)
-        while read not in prefixes:
-            read = read[1:]
-        return read, (count, int(c == "H"))[: 1 + mark_h]
-
-    return step
-
-
-def _windows(pattern: str) -> list[str]:
-    return [w for w, p in CONSECUTIVE_OF_WINDOW.items() if p == pattern]
-
-
-def _before_non_d(mark):
-    """t per step that ``mark(state, letter)`` picks out and that is not
-    followed exclusively by D's: the mark waits in the state until a non-D."""
-
-    def step(state, h: int, c: str):
-        inner, waiting = state
-        inner, marked = mark(inner, c)
-        return (inner, marked or (waiting and c == "D")), (int(waiting and c != "D"),)
-
-    return step
-
-
-#: The area of a word is the sum of its step heights plus #U, so
-#: inv = 2*area - #U adds 2h + [U] per step; over the class avoiding 132 and
-#: _123, des = tunnels - 1 = #U + #H - 1, one per U or H after the first step.
+#: Name -> (series, class, statistics): the series counts the class by
+#: length and by the ``TRANSPORTS`` rows named, one variable each, in order.
+#: Each route's ``path_series`` (start, step) joins those rows' steps.
 PATH_ROUTES = {
-    "inv_des_fix": (inv_des_fix_gf, "", lambda last, h, c: (
-        c, (2 * h + (c == "U"), int(last + c in DESCENT_FACTORS), int(c == "H")))),
-    "weak_valley": (weak_valley_gf, "", _factor_occurrences(WEAK_VALLEY_FACTORS, False)),
-    "coinv_des": (coinv_des_gf, False, lambda started, h, c: (
-        True, (h + (c == "U"), int(started and c != "D")))),
-    "f123_inv": (f123_inv, "", _factor_occurrences(_windows("123"))),
-    "f132_inv": (f132_inv, "", _factor_occurrences(_windows("132"))),
-    "f213_inv": (f213_inv, "", _factor_occurrences(_windows("213"))),
-    "f231_inv": (f231_inv, "", _factor_occurrences(_windows("231"))),
-    "f312_inv": (f312_inv, "", _factor_occurrences(_windows("312"))),
-    "f321_inv": (f321_inv, "", _factor_occurrences(_windows("321"))),
-    "f312_via_t1t2": (f312_via_t1t2, "", _factor_occurrences(_windows("312"))),
-    # a tunnel is long unless its D comes right after its U; an up step is
-    # non-initial when a step comes before it
-    "f213_perm": (f213_perm, "", _factor_occurrences(("UU", "UH"), False)),
-    "f231_perm": (f231_perm, "", _factor_occurrences(("UU", "DU", "HU"), False)),
-    "f312_perm": (f312_perm, ("", False), _before_non_d(lambda s, c: (c, s + c == "UD"))),
-    "f321_perm": (f321_perm, ("", False), _before_non_d(lambda s, c: (c, c == "H" and s != ""))),
+    "inv_des_fix": (inv_des_fix_gf, "I(3412)", ("inv", "des", "fix")),
+    "weak_valley": (weak_valley_gf, "I(3412)", ("asc",)),
+    "coinv_des": (coinv_des_gf, "S(132,_123)", ("coinv", "des")),
+    "f123_inv": (f123_inv, "I(3412)", ("occ:_123", "fix")),
+    "f132_inv": (f132_inv, "I(3412)", ("occ:_132", "fix")),
+    "f213_inv": (f213_inv, "I(3412)", ("occ:_213", "fix")),
+    "f231_inv": (f231_inv, "I(3412)", ("occ:_231", "fix")),
+    "f312_inv": (f312_inv, "I(3412)", ("occ:_312", "fix")),
+    "f321_inv": (f321_inv, "I(3412)", ("occ:_321", "fix")),
+    "f312_via_t1t2": (f312_via_t1t2, "I(3412)", ("occ:_312", "fix")),
+    "f213_perm": (f213_perm, "S(132,_123)", ("occ:_213",)),
+    "f231_perm": (f231_perm, "S(132,_123)", ("occ:_231",)),
+    "f312_perm": (f312_perm, "S(132,_123)", ("occ:_312",)),
+    "f321_perm": (f321_perm, "S(132,_123)", ("occ:_321",)),
 }
 #: The named series by name, which ``gf`` serves and the genfun suite calls.
 NAMED_SERIES = {name: route[0] for name, route in PATH_ROUTES.items()}
+ROUTE_PATHS = {name: joint_path([TRANSPORTS[cls][stat][2] for stat in stats])
+               for name, (_, cls, stats) in PATH_ROUTES.items()}
+
+
+def _factor_path(words: Sequence[str]) -> tuple[tuple, Callable]:
+    """t per occurrence of a factor in ``words`` and z per H step."""
+    return joint_path([("", _factor_occurrences(words)), TRANSPORTS["I(3412)"]["fix"][2]])
 
 
 def check_genfun_tables(order: int = 12) -> list[str]:
@@ -274,7 +225,7 @@ def check_genfun_tables(order: int = 12) -> list[str]:
     satisfy the window-sum identity."""
     failures: list[str] = []
     series: dict[str, TruncatedSeries] = {}
-    for name, (_, start, step) in PATH_ROUTES.items():
+    for name, (start, step) in ROUTE_PATHS.items():
         got = series[name] = NAMED_SERIES[name](order)
         for n in (got - path_series(got.ring, step, start)).x_degrees():
             failures.append(f"{name} differs from the path transfer matrix at n={n}")
@@ -297,7 +248,8 @@ def check_cluster_family(
     _refuse_past_bound(nmax, "cluster")
     spec = ClusterSpec(tuple(words))
     series = cluster_count_gf(spec, min(order, nmax))
-    difference = series - path_series(series.ring, _factor_occurrences(spec.words))
+    start, step = _factor_path(spec.words)
+    difference = series - path_series(series.ring, step, start)
     return [f"cluster series for {spec.words} differs at n={n}"
             for n in difference.x_degrees()]
 

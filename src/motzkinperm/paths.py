@@ -129,54 +129,26 @@ def subword_count(word: str, pattern: str) -> int:
     return sum(1 for i in range(len(word) - m + 1) if word[i : i + m] == pattern)
 
 
-WEAK_VALLEY_FACTORS = ("HH", "HU", "DH", "DU")
-DESCENT_FACTORS = ("UU", "DD", "UH", "HD", "UD")
-
-
-def _long_tunnels(word: str) -> int:
-    # one tunnel per U, and a tunnel is long unless its D comes right after its U
-    return word.count("U") - word.count("UD")
-
-
-def _noninitial_up(word: str) -> int:
-    return word.count("U") - (1 if word.startswith("U") else 0)
-
-
-def _nonfinal_peaks(word: str) -> int:
-    # a peak UD is final when everything after its D is a (possibly empty) run of D's
-    return sum(
-        1
-        for i in range(len(word) - 1)
-        if word[i : i + 2] == "UD" and any(ch != "D" for ch in word[i + 2 :])
-    )
-
-
-def _distinguished_h(word: str) -> int:
-    # H steps not in first position and not followed exclusively by down
-    # steps (an H in last position is followed by the empty run of D's)
-    return sum(
-        1
-        for i, ch in enumerate(word)
-        if ch == "H" and i > 0 and any(c != "D" for c in word[i + 1 :])
-    )
-
-
 def _weakly_descending_subpaths(word: str) -> int:
     return sum(1 for flat, _ in itertools.groupby(word, key=lambda c: c in "HD") if flat)
 
 
 _NAMED_STATISTICS = {
-    # the pairs of an H or D followed by an H or U (WEAK_VALLEY_FACTORS):
-    # each H or U after the first letter makes one unless it follows a U; a
+    # the pairs of an H or D followed by an H or U (HH, HU, DH, DU): each
+    # H or U after the first letter makes one unless it follows a U; a
     # nonempty Motzkin word starts with H or U and ends in H or D, so that
     # is #H + #U - 1 - (#U - #UD)
     "weak_valleys": lambda w: w.count("H") + w.count("UD") - (w != ""),
     # UD cannot overlap itself, so str.count counts every occurrence
     "peaks": lambda w: w.count("UD"),
-    "long_tunnels": _long_tunnels,
-    "noninitial_up": _noninitial_up,
-    "nonfinal_peaks": _nonfinal_peaks,
-    "distinguished_H": _distinguished_h,
+    # one tunnel per U, and a tunnel is long unless its D comes right after its U
+    "long_tunnels": lambda w: w.count("U") - w.count("UD"),
+    "noninitial_up": lambda w: w.count("U") - w.startswith("U"),
+    # a peak UD is final when only D's follow it: its U is the last letter other than D
+    "nonfinal_peaks": lambda w: w.count("UD") - w.rstrip("D").endswith("U"),
+    # the H's after the first letter but one that is the last letter other
+    # than D, as an H followed only by D's is not distinguished
+    "distinguished_H": lambda w: w[1:].rstrip("D").count("H") - w[1:].rstrip("D").endswith("H"),
     "weakly_descending_subpaths": _weakly_descending_subpaths,
 }
 
@@ -434,7 +406,8 @@ def path_series(ring: SeriesRing, step: Callable, start: Hashable = "") -> Trunc
     product of their step weights, by transfer matrix: no word is listed.
     From the state ``start``, each letter calls ``step(state, height,
     letter)``, with the height ``height_list`` gives, for the next state and
-    the weight's exponents, one per auxiliary variable.  By H steps:
+    the weight's exponents, one per auxiliary variable; it is called once
+    per (state, height, letter), and may depend on nothing else.  By H steps:
 
     >>> print(path_series(SeriesRing(3, ("z",)), lambda s, h, c: (s, (int(c == "H"),))))
     [n=0] 1
@@ -446,7 +419,7 @@ def path_series(ring: SeriesRing, step: Callable, start: Hashable = "") -> Trunc
     # each step adds the packed (1, weight), which _pack refuses when negative
     # or too large; the guard bits are checked after every layer, before a
     # field past MAX_EXPONENT could carry into the next one
-    packed: dict = {}
+    moves: dict = {}
     layer = {(0, start): {0: 1}}
     terms: dict[int, int] = {}
     for n in range(ring.order + 1):
@@ -456,10 +429,12 @@ def path_series(ring: SeriesRing, step: Callable, start: Hashable = "") -> Trunc
                 terms[e] = terms.get(e, 0) + c
             for letter, y2 in (("U", y + 1), ("D", y - 1), ("H", y)):
                 if 0 <= y2 < ring.order - n:
-                    state2, inc = step(state, min(y, y2), letter)
-                    d = packed.get(inc)
-                    if d is None:
-                        d = packed[inc] = ring._pack((1, *inc))
+                    key = state, min(y, y2), letter
+                    move = moves.get(key)
+                    if move is None:
+                        state2, inc = step(*key)
+                        move = moves[key] = state2, ring._pack((1, *inc))
+                    state2, d = move
                     target = following.setdefault((y2, state2), {})
                     for e, c in poly.items():
                         e2 = e + d

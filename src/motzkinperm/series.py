@@ -549,22 +549,19 @@ def format_poly(poly: Mapping[tuple[int, ...], Coefficient], vars: tuple[str, ..
     ])
 
 
-def rescale_x(series: "TruncatedSeries | LazySeries", **m: int) -> "TruncatedSeries | LazySeries":
-    """The rescale x -> x*m of an eager or lazy series, for m a monomial in
-    the auxiliary variables: each x^n term gains m^n, and no x-degree
-    changes.  An exponent of m^order past MAX_EXPONENT is refused, so a
-    term overflows only into its guard bit, which raises InvariantError."""
+def rescale_x(series: LazySeries, **m: int) -> LazySeries:
+    """The rescale x -> x*m of a lazy series, for m a monomial in the
+    auxiliary variables: each x^n term gains m^n, and no x-degree changes.
+    An exponent of m^order past MAX_EXPONENT is refused, so a term
+    overflows only into its guard bit, which raises InvariantError."""
     ring = series.ring
     if max(m.values(), default=0) * ring.order > MAX_EXPONENT:
         raise ValueError(f"rescale_x {m} passes MAX_EXPONENT = {MAX_EXPONENT} by x^{ring.order}")
     for name in m:
         ring._index(name)
     step = ring._pack((0, *(m.get(name, 0) for name in ring.vars)))
-    if isinstance(series, LazySeries):
-        return LazySeries(ring, lambda n: ring._checked({k + n * step: v for k, v in series.coeff(n).items()}),
-                          series.val)
-    shift = ring._x_shift
-    return _series(ring, ring._checked({k + (k >> shift) * step: v for k, v in series.terms.items()}))
+    return LazySeries(ring, lambda n: ring._checked({k + n * step: v for k, v in series.coeff(n).items()}),
+                      series.val)
 
 
 def solve_quadratic(

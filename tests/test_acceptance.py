@@ -32,8 +32,8 @@ def test_criterion_2_diagram_commutation():
 
 def test_criterion_3_statistic_transport():
     """For every 3412-avoiding involution with n <= 10: inv = 2*area - t,
-    des = descent-factor count, fix = H count, and all 27 window
-    correspondences."""
+    des = descent-factor count, asc = weak valleys, fix = H count, and all
+    27 window correspondences."""
     _report("3 statistic-transport", checks.check_stat_transport(nmax=10))
 
 

@@ -5,9 +5,10 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, strategies as st
 
-from motzkinperm import bijections
+from motzkinperm import bijections, checks
 from motzkinperm.bijections import (
     CONSECUTIVE_OF_WINDOW,
+    TRANSPORTS,
     VINCULAR_123,
     VINCULAR_132,
     check_diagram,
@@ -20,12 +21,13 @@ from motzkinperm.bijections import (
     path_to_involution,
     perm_to_history,
     transport_statistics,
-    window_pattern_counts,
 )
 from motzkinperm.cli import main
+from motzkinperm.genfun import ClassSpec, statistic_function
 from motzkinperm.paths import (
     LabeledMotzkinPath,
     MotzkinWord,
+    enumerate_histories,
     enumerate_labeled,
     enumerate_motzkin,
     labeled_to_history,
@@ -223,12 +225,32 @@ def test_window_table_is_total():
 
 
 def test_window_counts_match_consecutive_occurrences():
+    rows = TRANSPORTS["I(3412)"]
     specs = {name: PatternSpec.consecutive(Permutation.parse(name)) for name in CONSECUTIVE_OF_WINDOW.values()}
     for n in range(8):
         for p in restricted_involutions(n):
-            counts = window_pattern_counts(involution_to_path(p).word)
-            for name, count in counts.items():
-                assert count == occurrences(p, specs[name])
+            word = involution_to_path(p).word
+            for name, spec in specs.items():
+                assert rows[f"occ:_{name}"][1](word) == occurrences(p, spec)
+
+
+def test_transport_rows_are_named_as_table_names_them():
+    for cls, rows in TRANSPORTS.items():
+        spec = ClassSpec.parse(cls)
+        for name, (perm, _, _) in rows.items():
+            oracle = statistic_function(name, spec.base)
+            for n in range(7):
+                for p in spec.members(n):
+                    assert perm(p) == oracle(p), (cls, name, p)
+
+
+def test_s132_factor_rows_count_the_named_path_statistics():
+    # occurrences of _213 are long tunnels and those of _231 non-initial up steps
+    rows = TRANSPORTS["S(132,_123)"]
+    for n in range(10):
+        for w in enumerate_motzkin(n):
+            assert rows["occ:_213"][1](w) == named_statistic(w, "long_tunnels"), w
+            assert rows["occ:_231"][1](w) == named_statistic(w, "noninitial_up"), w
 
 
 def test_transport_examples():
@@ -258,6 +280,24 @@ def test_ascents_match_weak_valleys():
         lhs = sorted(asc_count(p) for p in restricted_involutions(n))
         rhs = sorted(named_statistic(w, "weak_valleys") for w in enumerate_motzkin(n))
         assert lhs == rhs
+
+
+def test_bijection_suite_reports_a_collision_and_a_repeated_history(monkeypatch):
+    assert checks.check_bijection_suite(nmax=5) == []
+    twin = Permutation.parse("2143")
+    with monkeypatch.context() as m:
+        m.setattr(checks, "perm_to_history", lambda p: perm_to_history(twin if p == identity(4) else p))
+        assert any(" at n=4: " in f and f.endswith("does not come back")
+                   for f in checks.check_bijection_suite(nmax=5))
+
+    def repeating(n):
+        # one history twice in place of the last, so the count still reads n!
+        walk = list(enumerate_histories(n))
+        return walk[:-1] + walk[-2:-1]
+
+    monkeypatch.setattr(checks, "enumerate_histories", repeating)
+    assert any(f.startswith("perm_to_history at n=3:") and "is listed after" in f
+               for f in checks.check_bijection_suite(nmax=5))
 
 
 def test_check_diagram_passes():

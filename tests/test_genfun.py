@@ -297,7 +297,8 @@ factor_sets = (
 @given(factor_sets)
 def test_cluster_series_equals_path_transfer_matrix(spec):
     series = cluster_count_gf(spec, 8)
-    assert series == path_series(series.ring, checks._factor_occurrences(spec.words))
+    start, step = checks._factor_path(spec.words)
+    assert series == path_series(series.ring, step, start)
 
 
 _CLUSTER_ORDER = 7

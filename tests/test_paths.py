@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from motzkinperm import checks, cli
-from motzkinperm.bijections import CONSECUTIVE_PATTERNS, window_pattern_counts
+from motzkinperm.bijections import TRANSPORTS
 from motzkinperm.errors import BoundExceededError, InvariantError
 from motzkinperm.genfun import CLUSTER_123, CLUSTER_132
 from motzkinperm.paths import (
     _DELTA,
     _NAMED_STATISTICS,
-    DESCENT_FACTORS,
     PATH_STATISTIC_NAMES,
-    WEAK_VALLEY_FACTORS,
     BicoloredMotzkinWord,
     LabeledMotzkinPath,
     LaguerreHistory,
@@ -194,7 +192,8 @@ def test_weak_valleys_equal_factor_counts():
     motzkin = {w for w in words if isinstance(w, MotzkinWord)}
     for w in words:
         if w in motzkin:
-            expected = sum(subword_count(w, f) for f in WEAK_VALLEY_FACTORS)
+            # the ascents of an involution are the weak valleys of its path
+            expected = TRANSPORTS["I(3412)"]["asc"][1](w)
             assert named_statistic(w, "weak_valleys") == expected, w
         else:
             # a word off the Motzkin language is refused, not counted
@@ -482,33 +481,6 @@ def _census(ring: SeriesRing, stats) -> TruncatedSeries:
     return TruncatedSeries(ring, terms)
 
 
-def _pattern_and_fix(pattern):
-    return lambda w: (window_pattern_counts(w)[pattern], w.count("H"))
-
-
-def _path_statistic(name):
-    return lambda w: (named_statistic(w, name),)
-
-
-#: The statistics of every named series on one word, as
-#: transport_statistics and named_statistic define them.
-WORD_STATISTICS = {
-    "inv_des_fix": lambda w: (
-        2 * area(w) - w.count("U"),
-        sum(subword_count(w, f) for f in DESCENT_FACTORS),
-        w.count("H"),
-    ),
-    "weak_valley": _path_statistic("weak_valleys"),
-    "coinv_des": lambda w: (area(w), len(tunnels(w)) - 1 if w else 0),
-    **{f"f{p}_inv": _pattern_and_fix(p) for p in CONSECUTIVE_PATTERNS},
-    "f312_via_t1t2": _pattern_and_fix("312"),
-    **{
-        f"f{p}_perm": _path_statistic(stat)
-        for p, stat in checks.S132_PATTERN_STATISTICS.items()
-    },
-}
-
-
 def test_path_routes_cover_every_named_series():
     # cli builds its named series from the path routes; the names and their
     # order, which the gf usage error lists, stay fixed
@@ -519,18 +491,32 @@ def test_path_routes_cover_every_named_series():
     ]
 
 
+TRANSPORT_ROWS = [(cls, name) for cls, rows in TRANSPORTS.items() for name in rows]
+
+
+@pytest.mark.parametrize("cls, name", TRANSPORT_ROWS, ids=[f"{c}-{n}" for c, n in TRANSPORT_ROWS])
+def test_transport_row_step_equals_word_census(cls, name):
+    # n runs from the empty word and the word "H" up to 8
+    _, path_statistic, (start, step) = TRANSPORTS[cls][name]
+    ring = SeriesRing(8, ("t",))
+    assert path_series(ring, step, start) == _census(ring, lambda w: (path_statistic(w),))
+
+
 @pytest.mark.parametrize("name", sorted(checks.PATH_ROUTES))
 def test_path_route_equals_word_census(name):
-    # n runs from the empty word and the word "H" up to 8
-    gf, start, step = checks.PATH_ROUTES[name]
+    # the joined steps of a route against its rows' word statistics, in order
+    gf, cls, stats = checks.PATH_ROUTES[name]
+    words = [TRANSPORTS[cls][stat][1] for stat in stats]
+    start, step = checks.ROUTE_PATHS[name]
     ring = SeriesRing(8, gf(0).ring.vars)
-    assert path_series(ring, step, start) == _census(ring, WORD_STATISTICS[name])
+    assert path_series(ring, step, start) == _census(ring, lambda w: tuple(word(w) for word in words))
 
 
 @pytest.mark.parametrize("words", [("HH", "UDU"), ("UDUD", "HUH", "UU")])
 def test_factor_route_equals_word_census(words):
     ring = SeriesRing(8, ("t", "z"))
-    got = path_series(ring, checks._factor_occurrences(words))
+    start, step = checks._factor_path(words)
+    got = path_series(ring, step, start)
     want = _census(ring, lambda w: (sum(subword_count(w, v) for v in words), w.count("H")))
     assert got == want
 
@@ -580,8 +566,7 @@ def test_path_series_refuses_an_exponent_summed_past_max_exponent():
 
 
 def test_no_path_route_reaches_a_refusal():
-    routes = [(checks.NAMED_SERIES[name](0).ring.vars, step, start)
-              for name, (_, start, step) in checks.PATH_ROUTES.items()]
-    routes += [(("t", "z"), checks._factor_occurrences(spec.words), "") for spec in (CLUSTER_123, CLUSTER_132)]
-    for names, step, start in routes:
+    routes = [(checks.NAMED_SERIES[name](0).ring.vars, *checks.ROUTE_PATHS[name]) for name in checks.PATH_ROUTES]
+    routes += [(("t", "z"), *checks._factor_path(spec.words)) for spec in (CLUSTER_123, CLUSTER_132)]
+    for names, start, step in routes:
         assert path_series(SeriesRing(16, names), step, start)
