@@ -128,31 +128,40 @@ def perm_to_history(p: Permutation) -> LaguerreHistory:
 def history_to_perm(h: LaguerreHistory) -> Permutation:
     """Constructive inverse of ``perm_to_history``.
 
-    Values enter in increasing order while the ascending runs and the open
-    runs (head placed, tail not yet) are both kept in word order.  A U or H
-    step labeled l starts a new run right after the l-th open run (at the
-    front when l = 0); a U run also joins the open runs at index l.  A T or
-    D step labeled l appends its value to open run l (0-based), and D closes
-    that run.  The label bounds of ``LaguerreHistory`` keep every index in
-    range, so every history has a preimage, and each value joins exactly
-    one run, so the word is a permutation without re-checking it.
+    Values enter in increasing order, each linked into the word by a
+    successor array, ``after[v]`` the value after v and ``after[0]`` the
+    first; ``last`` keeps each open run (head placed, tail not yet), in
+    word order, as its last value so far.  A U or H step labeled l starts a
+    new run right after open run l - 1 (at the front when l = 0); a U run
+    also joins the open runs at index l.  A T or D step labeled l appends
+    its value to open run l (0-based), and D closes that run.  The label
+    bounds of ``LaguerreHistory`` keep every index in range, so every
+    history has a preimage, and each value is linked in once, so the word
+    is a permutation without re-checking it.
 
     >>> str(history_to_perm(LaguerreHistory.parse("UUTUDTDHD | l=0,0,1,2,1,0,1,0,0")))
     '8 2 6 9 1 3 5 4 7'
     """
-    runs: list[list[int]] = []
-    opened: list[list[int]] = []
+    after = [0] * (len(h.word) + 1)
+    last: list[int] = []
     for value, (step, label) in enumerate(zip(h.word, h.labels), start=1):
         if step in "UH":
-            run = [value]
-            runs.insert(runs.index(opened[label - 1]) + 1 if label else 0, run)
+            prev = last[label - 1] if label else 0
             if step == "U":
-                opened.insert(label, run)
+                last.insert(label, value)
         else:
-            opened[label].append(value)
-            if step == "D":
-                del opened[label]
-    return Permutation._trusted([v for run in runs for v in run])
+            prev = last[label]
+            if step == "T":
+                last[label] = value
+            else:
+                del last[label]
+        after[value] = after[prev]
+        after[prev] = value
+    word, value = [], after[0]
+    while value:
+        word.append(value)
+        value = after[value]
+    return Permutation._trusted(word)
 
 
 def foata(cycles: CycleForm) -> Permutation:

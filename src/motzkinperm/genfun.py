@@ -48,6 +48,7 @@ from .permutations import (
 from .series import (
     SeriesRing,
     TruncatedSeries,
+    _series,
     fixed_point_solve,
     rescale_x,
     solve_quadratic,
@@ -377,37 +378,41 @@ def cluster_count_gf(spec: ClusterSpec, order: int) -> TruncatedSeries:
     (t), and number of H steps (z), by the cluster method on paths.
 
     A word with a marked subset of its occurrences, each mark weighing
-    t - 1, cuts uniquely into letters and clusters.  So the series is a
-    dynamic program over length and height whose steps are U, D, H and the
-    clusters, merged by (length, net, least height), one with k marks
-    weighing (t - 1)^k; a step is taken only where the path stays at or
-    above 0 inside it and can still return to 0 by the order.
+    s = t - 1, cuts uniquely into letters and clusters.  So the series is a
+    dynamic program over length and height, keyed as ``path_series`` is but
+    with t's field counting s, whose steps are U, D, H and the clusters by
+    (length, net, least height), one with k marks weighing s^k, taken where
+    the path stays at or above 0 inside them and can return to 0 by the
+    order.  Each word back at height 0 expands its s^k in powers of t.
     """
     ring = _pattern_ring(order)  # refuses a negative order before the DP
-    base = order + 1  # t^i z^j packed as i * base + j; no exponent passes the order
-    steps = {(1, 1, 0): {0: 1}, (1, -1, -1): {0: 1}, (1, 0, 0): {1: 1}}
+    ring._pack((order, order, order))  # no exponent of the DP passes the order
+    s, z = ring._pack((0, 1, 0)), ring._pack((0, 0, 1))
+    weights = {(1, 1, 0): {0: 1}, (1, -1, -1): {0: 1}, (1, 0, 0): {z: 1}}
     for (length, net, low, marks, h), count in cluster_gfs(spec, order).items():
-        weight = steps.setdefault((length, net, low), {})
-        for i in range(marks + 1):
-            key = i * base + h
-            weight[key] = weight.get(key, 0) + count * comb(marks, i) * (-1) ** (marks - i)
-    # layers[n][y]: the paths of length n ending at height y
-    layers: list[dict[int, dict[int, int]]] = [{} for _ in range(order + 1)]
-    layers[0][0] = {0: 1}
+        weight = weights.setdefault((length, net, low), {})
+        weight[key] = weight.get(key := marks * s + h * z, 0) + count
+    steps = [(*step, list(weight.items())) for step, weight in weights.items()]
+    signed = [[comb(k, i) * (-1) ** (k - i) for i in range(k + 1)] for k in range(order + 1)]  # s^k in t
+    layers = [{0: {0: 1}}, *({} for _ in range(order))]  # [n][y]: the paths of length n ending at height y
     terms = {}
     for n, layer in enumerate(layers):
-        for key, c in layer.get(0, {}).items():
-            terms[(n, *divmod(key, base))] = c
         for y, poly in layer.items():
-            for (length, net, low), weight in steps.items():
-                m, y2 = n + length, y + net
-                if y + low < 0 or y2 > order - m:
+            ring._checked(poly)
+            for k, c in poly.items() if y == 0 else ():
+                key = (n << ring._x_shift) + k % s
+                for b in signed[k // s]:
+                    terms[key] = terms.get(key, 0) + c * b
+                    key += s
+            for length, net, low, weight in steps:
+                if y + low < 0 or y + net > order - n - length:
                     continue
-                target = layers[m].setdefault(y2, {})
-                for k1, c1 in poly.items():
-                    for k2, c2 in weight.items():
-                        target[k1 + k2] = target.get(k1 + k2, 0) + c1 * c2
-    return TruncatedSeries(ring, terms)
+                target = layers[n + length].setdefault(y + net, {})
+                get = target.get
+                for k2, c2 in weight:
+                    for k1, c1 in poly.items():
+                        target[key] = get(key := k1 + k2, 0) + c1 * c2
+    return _series(ring, {k: c for k, c in terms.items() if c})
 
 
 #: The factor families realizing consecutive 123 and 132 over involutions.

@@ -13,7 +13,12 @@ x-degree, and a key is kept when below the cap (N+1) << 16m.  Each field
 holds 0..MAX_EXPONENT under a guard bit; a product that sets one raises
 InvariantError.  Tuples are packed and unpacked only at the ring boundary
 (the constructor, monomial, coefficient, the substitutions and
-``to_json_dict``); the renderers read exponents off the keys.
+``to_json_dict``).  The renderers make one pass over the keys in descending
+order, a new x-degree starting where a key drops below the last one's
+x-degree; each variable's "", name and name^e strings are made once per
+call, and a monomial joins the ones its fields index.  ``evaluate`` moves
+kept fields into the new ring's keys and multiplies by the powers of the
+dropped values other than 1, each made once per call.
 """
 
 from __future__ import annotations
@@ -22,9 +27,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import groupby
 from operator import or_
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .errors import InvariantError
 
@@ -341,26 +345,30 @@ class TruncatedSeries:
         """Evaluate auxiliary variables at rationals, returning a series in
         the ring on the remaining variables.  Each value is normed once, so
         integral values keep int coefficients ints, and each power value**e
-        is computed once; kept exponents move field by field into the keys.
+        is computed once; a value of 1 multiplies nothing, and kept
+        exponents move field by field into the keys.
         """
         ring = self.ring
         drop = {ring._index(name): _norm(Fraction(value)) for name, value in values.items()}
         keep = [i for i in range(len(ring.vars)) if i not in drop]
         target = SeriesRing(ring.order, tuple(ring.vars[i] for i in keep))
         moves = [(ring._shifts[i], shift) for i, shift in zip(keep, target._shifts)]
-        powers = [(ring._shifts[i], {0: 1}, value) for i, value in drop.items()]
+        powers = [(ring._shifts[i], {0: 1}, value) for i, value in drop.items() if value != 1]
+        xs, txs = ring._x_shift, target._x_shift
         out: dict[int, Coefficient] = {}
+        get = out.get
         for k, c in self.terms.items():
-            key = k >> ring._x_shift << target._x_shift
+            key = k >> xs << txs
             for source, shift in moves:
                 key |= (k >> source & _MASK) << shift
-            for source, power, value in powers:
-                e = k >> source & _MASK
-                if e not in power:
-                    power[e] = value**e
-                c = c * power[e]
-            out[key] = out.get(key, 0) + c
-        return _series(target, {k: _norm(v) for k, v in out.items() if v})
+            if powers:
+                for source, power, value in powers:
+                    e = k >> source & _MASK
+                    if e not in power:
+                        power[e] = value**e
+                    c = c * power[e]
+            out[key] = get(key, 0) + c
+        return _series(target, {k: _norm(v) if type(v) is Fraction else v for k, v in out.items() if v})
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Restrict to a lower truncation order."""
@@ -373,18 +381,40 @@ class TruncatedSeries:
 
     def _lines(self, keys: list[int]) -> dict[int, str]:
         """The coefficient of each x-degree among ``keys``, packed keys in
-        descending order, rendered as ``format_poly`` does."""
+        descending order, rendered as ``format_poly`` does: a degree's last
+        key is its constant, and each other piece is a coefficient's head,
+        made once per coefficient, and one table entry "name^e*" per field."""
         ring, terms = self.ring, self.terms
-        fields = tuple(zip(ring.vars, ring._shifts))
-        return {
-            d: _poly_line([
-                (terms[k], "*".join([
-                    name if e == 1 else f"{name}^{e}" for name, s in fields if (e := k >> s & _MASK)
-                ]))
-                for k in group
-            ])
-            for d, group in groupby(keys, key=lambda k: k >> ring._x_shift)
-        }
+        bits = reduce(or_, keys, 0)
+        fields = [
+            (s, ["", f"{name}*", *(f"{name}^{e}*" for e in range(2, 1 << (bits >> s & _MASK).bit_length()))])
+            for name, s in zip(ring.vars, ring._shifts)
+        ]
+        heads: dict[Coefficient, str] = {}
+        lines = {}
+        floor = ring._cap
+        pieces: list[str] = []
+        for k in keys:
+            if k < floor:
+                if pieces:
+                    lines[floor >> ring._x_shift] = _line(pieces)
+                floor = k >> ring._x_shift << ring._x_shift
+                pieces = []
+            c = terms[k]
+            if k == floor:
+                pieces.append(_piece(c, ""))
+                continue
+            body = ""
+            for s, table in fields:
+                body += table[k >> s & _MASK]
+            head = heads.get(c)
+            if head is None:
+                # the piece of c before a one-letter monomial, less the letter
+                head = heads[c] = _piece(c, "m")[:-1]
+            pieces.append(head + body[:-1])
+        if pieces:
+            lines[floor >> ring._x_shift] = _line(pieces)
+        return lines
 
     def coefficient(self, x_degree: int, at: Mapping[str, Coefficient] | None = None):
         """The coefficient of x**x_degree: a dict from auxiliary exponent
@@ -526,25 +556,25 @@ class LazySeries:
     __rmul__ = __mul__
 
 
-def _poly_line(terms: Iterable[tuple[Coefficient, str]]) -> str:
-    """``2*y^2*z + y*z^2`` from (coefficient, monomial) pairs in print order,
-    a monomial like ``y^2*z`` and "" for 1; "0" for no pair."""
-    pieces = []
-    for c, body in terms:
-        mag = abs(c)
-        text = body if mag == 1 and body else f"{mag}*{body}" if body else str(mag)
-        pieces.append(("- " if c < 0 else "+ ") + text)
-    if not pieces:
-        return "0"
-    first = pieces[0]
-    first = "-" + first[2:] if first.startswith("- ") else first[2:]
-    return " ".join([first] + pieces[1:])
+def _piece(c: Coefficient, body: str) -> str:
+    """`` + 2*y^2*z``, `` - y`` or `` + 3``: the sign and magnitude of c
+    before its monomial ``body``, "" for 1."""
+    mag = abs(c)
+    text = body if mag == 1 and body else f"{mag}*{body}" if body else str(mag)
+    return (" - " if c < 0 else " + ") + text
+
+
+def _line(pieces: list[str]) -> str:
+    """The pieces of a polynomial in print order joined, with no sign before
+    a positive first term; "0" for no piece."""
+    text = "".join(pieces)
+    return "-" + text[3:] if text[1:2] == "-" else text[3:] or "0"
 
 
 def format_poly(poly: Mapping[tuple[int, ...], Coefficient], vars: tuple[str, ...]) -> str:
     """Render an auxiliary-variable polynomial like ``2*y^2*z + y*z^2``."""
-    return _poly_line([
-        (poly[exps], "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(vars, exps) if e]))
+    return _line([
+        _piece(poly[exps], "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(vars, exps) if e]))
         for exps in sorted(poly, reverse=True)
     ])
 

@@ -249,6 +249,14 @@ def test_cluster_route_equals_pattern_series():
     assert cluster_count_gf(CLUSTER_132, ORDER) == f132_inv(ORDER)
 
 
+@pytest.mark.parametrize("order", [12, 20])
+def test_cluster_series_keep_no_zero_terms(order):
+    # the inclusion-exclusion sums of some terms cancel to 0, and a series
+    # keeps no zero coefficient
+    for spec in (CLUSTER_123, CLUSTER_132):
+        assert all(cluster_count_gf(spec, order).terms.values())
+
+
 def test_cluster_census_for_single_words():
     for word in ("UDU", "UHD", "HHH"):
         series = cluster_count_gf(ClusterSpec((word,)), 6)

@@ -4,8 +4,9 @@ A case is named by what it runs: ``gf ...`` is the stdout of that command
 line, and ``to_json_dict NAME N`` is ``json.dumps`` (sorted keys) of the
 named series at order N.  The digests in ``gf_golden.json`` were taken at
 commit 1e7fe47, before the renderers shared one pass over the terms and
-before the lazy kernel had its own scalar and sum nodes, so any byte that
-either change moves fails here, naming its case.
+before the lazy kernel had its own scalar and sum nodes, and those of
+``EVALS`` before ``evaluate`` skipped the value 1, so any byte that one of
+these changes moves fails here, naming its case.
 """
 
 import hashlib
@@ -25,13 +26,22 @@ ORDERS = (0, 1, 12, 20)
 CLUSTER_FAMILIES = ("HHH,HHU,DHH,DHU", "HU,DU")
 #: The ``--eval`` example of the README's command-line section.
 README_EVAL = "gf --name f123_inv --N 12 --eval t=1,z=1"
+#: ``--eval`` cases that set a variable to 1, to a negative value, to 0 and
+#: to a proper fraction.
+EVALS = (
+    "gf --name inv_des_fix --N 12 --eval y=1,z=1",
+    "gf --name coinv_des --N 12 --eval y=1",
+    "gf --name weak_valley --N 12 --eval z=-2",
+    "gf --name cluster --S HU,DU --N 12 --eval t=0,z=3/4",
+    "gf --name f312_perm --N 12 --eval t=1",
+)
 
 
 def cases() -> list[str]:
     sources = [f"--name {name}" for name in sorted(GF_FUNCTIONS)]
     sources += [f"--name cluster --S {family}" for family in CLUSTER_FAMILIES]
     out = [f"gf {s} --N {n} --format {fmt}" for s in sources for n in ORDERS for fmt in ("json", "text")]
-    out += [README_EVAL, f"{README_EVAL} --format text"]
+    out += [f"{case}{fmt}" for case in (README_EVAL, *EVALS) for fmt in ("", " --format text")]
     out += [f"to_json_dict {name} {n}" for name in sorted(GF_FUNCTIONS) for n in (12, 20)]
     return out
 

@@ -619,6 +619,44 @@ def test_format_poly():
     assert format_poly({(0, 0): -3, (1, 0): 1}, ("y", "z")) == "y - 3"
     assert format_poly({}, ("y", "z")) == "0"
     assert format_poly({(0,): Fraction(1, 2)}, ("y",)) == "1/2"
+    assert format_poly({(1, 0): -1, (0, 2): 2, (0, 0): -1}, ("y", "z")) == "-y + 2*z^2 - 1"
+    assert format_poly({(0,): Fraction(-3, 4), (3,): Fraction(-1, 2)}, ("y",)) == "-1/2*y^3 - 3/4"
+
+
+def random_series(rng, ring):
+    """A series of ``ring`` with up to 12 terms: int, Fraction and negative
+    coefficients, exponents 0..3, sometimes one term or none."""
+    size = rng.choice([0, 1, rng.randrange(2, 13)])
+    terms = {}
+    for _ in range(size):
+        key = (rng.randrange(ring.order + 1), *(rng.randrange(4) for _ in ring.vars))
+        terms[key] = rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
+    return TruncatedSeries(ring, terms)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_renderers_match_format_poly(seed):
+    rng = random.Random(seed)
+    ring = SeriesRing(rng.randrange(5), ("y", "z", "w")[:rng.randrange(4)])
+    s = random_series(rng, ring)
+    want = [format_poly(s.coefficient(n), ring.vars) for n in range(ring.order + 1)]
+    assert s.format_coefficients() == want
+    assert [s.format_coefficient(n) for n in range(ring.order + 1)] == want
+    lines = [f"[n={n}] {line}" for n, line in enumerate(want) if s.coefficient(n)]
+    assert str(s) == ("\n".join(lines) if lines else "[0]")
+
+
+@pytest.mark.parametrize("value", [0, 1, -1, -2, Fraction(3, 4), Fraction(1, 3)])
+@pytest.mark.parametrize("seed", range(6))
+def test_evaluate_matches_termwise_reference(value, seed):
+    rng = random.Random(seed)
+    ring = SeriesRing(4, ("y", "z", "w")[:1 + seed % 3])
+    s = random_series(rng, ring)
+    terms = as_tuples(s)
+    for name in ring.vars:
+        assert as_tuples(s.evaluate(**{name: value})) == naive_evaluate(terms, ring.vars, {name: value})
+    values = {name: value if i % 2 else -value for i, name in enumerate(ring.vars)}
+    assert as_tuples(s.evaluate(**values)) == naive_evaluate(terms, ring.vars, values)
 
 
 def test_str_and_json():
